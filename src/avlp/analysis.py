@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import AvlpProblem, SignVector
+from .core import AvlpProblem, SignVector, orthant_restriction
 from .exact import find_feasible_point, sign_vectors
 from .simplex import LinearProgram, solve_lp
 
@@ -126,16 +126,20 @@ def bounded_for_all_b(p: AvlpProblem) -> BoundednessVerdict:
     Equivalent to A x - D|x| <= 0 having only the trivial solution.  Every
     full orthant is checked with a box-capped LP: a positive optimum of
     max e^T diag(s) x over the homogeneous orthant system exposes a
-    nontrivial ray (rays scale, so the cap diag(s) x <= e loses nothing).
+    nontrivial ray (rays scale, so the cap |x| <= e loses nothing).
     Signs on zero columns of D still matter here through the orthant rows,
     so all 2^n orthants are enumerated.
     """
     n = p.n
+    eye = np.eye(n)
+    capped = AvlpProblem(
+        np.vstack([p.A, eye, -eye]),
+        np.vstack([p.D, np.zeros((2 * n, n))]),
+        np.concatenate([np.zeros(p.m), np.ones(2 * n)]),
+        np.zeros(n),
+    )
     for s in sign_vectors(n, list(range(n))):
-        S = s.diag()
-        G = np.vstack([p.A - p.D @ S, -S, S])
-        h = np.concatenate([np.zeros(p.m + n), np.ones(n)])
-        out = solve_lp(LinearProgram(G, h, s.as_array()))
+        out = solve_lp(orthant_restriction(capped.with_objective(s.as_array()), s))
         if out.is_optimal and out.value > 1e-8:
             return BoundednessVerdict(False, ray=out.x, sign=s)
     return BoundednessVerdict(True)

@@ -13,13 +13,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import analysis, exact, integrality, qpkkt, reformulate, stability
-from .core import AvlpProblem, RawProblem, SignVector, normalize
+from .core import AvlpProblem, RawProblem, SignVector, normalize, orthant_restriction
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +81,7 @@ def load_problem(path: str) -> tuple[AvlpProblem, dict]:
             return normalize(RawProblem(A, D, b, c)), data
         return AvlpProblem(A, D, b, c), data
     except ValueError as exc:
-        raise ProblemFileError(f"field 'D': {exc}") from exc
+        raise ProblemFileError(str(exc)) from exc
 
 
 def problem_to_json(p: AvlpProblem, **extra) -> dict:
@@ -237,7 +236,7 @@ def cmd_polygon2d(args) -> int:
     box_h = np.array([hi, hi, -lo, -lo])
     rows = []
     for s in exact.sign_vectors(2, [0, 1]):
-        lp = exact.orthant_restriction(p, s)
+        lp = orthant_restriction(p, s)
         G = np.vstack([lp.G, box_G])
         h = np.concatenate([lp.h, box_h])
         vertices = [v for v, _ in analysis.enumerate_vertices(G, h)]
@@ -376,23 +375,9 @@ def _output_flags(p) -> None:
 
 
 def main(argv=None) -> int:
-    # a thread cap is accepted for forward compatibility; execution is
-    # sequential, which satisfies any positive cap
-    threads = os.environ.get("AVLP_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("error: AVLP_THREADS must be a positive integer", file=sys.stderr)
-                return 1
-        except ValueError:
-            print("error: AVLP_THREADS must be a positive integer", file=sys.stderr)
-            return 1
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,6 +69,9 @@ def _check_shapes(A, D, b, c):
         raise DimensionError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
     if c.shape[0] != A.shape[1]:
         raise DimensionError(f"c has length {c.shape[0]}, expected {A.shape[1]}")
+    for name, arr in (("A", A), ("D", D), ("b", b), ("c", c)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"field {name!r} has a non-finite entry")
     return A, D, b, c
 
 
@@ -84,7 +87,7 @@ class AvlpProblem:
     def __post_init__(self):
         A, D, b, c = _check_shapes(self.A, self.D, self.b, self.c)
         if np.any(D < 0):
-            raise ValueError("D must be nonnegative entrywise; use normalize() first")
+            raise ValueError("field 'D' must be nonnegative entrywise; use normalize() first")
         for name, arr in (("A", A), ("D", D), ("b", b), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

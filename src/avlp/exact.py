@@ -3,16 +3,18 @@ vertex-candidacy test.
 
 The feasible set is a union of convex polyhedra, one per sign orthant, so
 the problem reduces to 2^l LPs where l counts the nonzero columns of D.
+Every orthant search of the package runs through ``_orthant_search``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AvlpProblem, SignVector, membership, nonzero_columns, sgn, orthant_restriction
+from .core import AvlpProblem, SignVector, membership, nonzero_columns, orthant_restriction
 from .simplex import LinearProgram, LpOutcome, LpStatus, SimplexError, solve_lp
 
 
@@ -40,65 +42,63 @@ class SolveReport:
     ray: np.ndarray | None = None
 
 
-def sign_vectors(n: int, enumerated: list[int]) -> "itertools.chain":
+def sign_vectors(n: int, enumerated: list[int]) -> Iterator[SignVector]:
     """All sign vectors in {+-1}^n, lexicographic (-1 < +1) over the
     enumerated indices, with the remaining entries set to 0 (meaning
-    unconstrained; their absolute value never enters the system)."""
+    unconstrained; their absolute value never enters the system).
 
-    def gen():
-        for combo in itertools.product((-1, 1), repeat=len(enumerated)):
-            s = [0] * n
-            for idx, val in zip(enumerated, combo):
-                s[idx] = val
-            yield SignVector(tuple(s))
+    This is the package's one sign enumerator."""
+    for combo in itertools.product((-1, 1), repeat=len(enumerated)):
+        s = [0] * n
+        for idx, val in zip(enumerated, combo):
+            s[idx] = val
+        yield SignVector(tuple(s))
 
-    return gen()
+
+def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
+    """Solve the orthant LP of every sign vector over the nonzero columns
+    of D, yielding (sign, outcome) in sign_vectors order.  A SimplexError
+    is re-raised naming the orthant it came from."""
+    for s in sign_vectors(p.n, nonzero_columns(p.D)):
+        try:
+            out = solve_lp(orthant_restriction(p, s))
+        except SimplexError as exc:
+            raise SimplexError(f"orthant {s.entries}: {exc}") from exc
+        yield s, out
 
 
 def solve_exact(p: AvlpProblem) -> SolveReport:
     """Solve the problem exactly by enumerating sign orthants.
 
     Signs are enumerated only on the nonzero columns of D (the orthant LP
-    does not depend on the remaining signs, which are fixed to +1).
+    does not depend on the remaining signs, which are left free).
     Aggregation: any unbounded orthant makes the problem unbounded,
     otherwise the best optimal orthant wins; ties go to the
     lexicographically smallest sign vector.
     """
-    cols = nonzero_columns(p.D)
     per_orthant: list[OrthantResult] = []
-    best_value = None
-    best_x = None
-    best_sign = None
-    unbounded_sign = None
-    unbounded_ray = None
+    best = None
+    unbounded = None
 
-    for s in sign_vectors(p.n, cols):
-        try:
-            out = solve_lp(orthant_restriction(p, s))
-        except SimplexError as exc:
-            raise SimplexError(f"orthant {s.entries}: {exc}") from exc
+    for s, out in _orthant_search(p):
         per_orthant.append(
             OrthantResult(s, out.status, out.value if out.is_optimal else None)
         )
-        if out.status is LpStatus.UNBOUNDED and unbounded_sign is None:
-            unbounded_sign = s
-            unbounded_ray = out.ray
-        elif out.is_optimal:
-            if best_value is None or out.value > best_value:
-                best_value = out.value
-                best_x = out.x
-                best_sign = s
+        if out.status is LpStatus.UNBOUNDED and unbounded is None:
+            unbounded = (s, out)
+        elif out.is_optimal and (best is None or out.value > best[1].value):
+            best = (s, out)
 
     solved = len(per_orthant)
-    if unbounded_sign is not None:
+    if unbounded is not None:
         return SolveReport(
             SolveStatus.UNBOUNDED,
-            witness_sign=unbounded_sign,
+            witness_sign=unbounded[0],
             orthants_solved=solved,
             per_orthant=tuple(per_orthant),
-            ray=unbounded_ray,
+            ray=unbounded[1].ray,
         )
-    if best_value is None:
+    if best is None:
         return SolveReport(
             SolveStatus.INFEASIBLE,
             orthants_solved=solved,
@@ -106,9 +106,9 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
         )
     return SolveReport(
         SolveStatus.OPTIMAL,
-        f_star=float(best_value),
-        x_star=best_x,
-        witness_sign=best_sign,
+        f_star=float(best[1].value),
+        x_star=best[1].x,
+        witness_sign=best[0],
         orthants_solved=solved,
         per_orthant=tuple(per_orthant),
     )
@@ -116,10 +116,7 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
 
 def find_feasible_point(p: AvlpProblem) -> np.ndarray | None:
     """First feasible point found during orthant enumeration, or None."""
-    cols = nonzero_columns(p.D)
-    zero_obj = p.with_objective(np.zeros(p.n))
-    for s in sign_vectors(p.n, cols):
-        out = solve_lp(orthant_restriction(zero_obj, s))
+    for _, out in _orthant_search(p.with_objective(np.zeros(p.n))):
         if out.is_optimal:
             return out.x
         if out.status is LpStatus.UNBOUNDED:  # pragma: no cover - obj is zero
@@ -164,21 +161,15 @@ def vertex_candidacy(p: AvlpProblem, x, tol: float = 1e-8) -> CandidacyResult:
     ok, _ = membership(p, x, tol)
     if not ok:
         raise ValueError("point is not feasible")
-    s = SignVector.from_point(x)
-    S = s.diag()
-    G1 = p.A - p.D @ S
-    res1 = G1 @ x - p.b
-    scale = 1.0 + np.abs(p.b)
-    active1 = G1[np.abs(res1) <= tol * scale]
+    lp = orthant_restriction(p, SignVector.from_point(x))
+    active = np.abs(lp.G @ x - lp.h) <= tol * (1.0 + np.abs(lp.h))
+    active1 = lp.G[: p.m][active[: p.m]]
     rank1 = np.linalg.matrix_rank(active1) if active1.size else 0
     if rank1 < p.n:
         return CandidacyResult(
             False, "active rows of the orthant system have rank < n"
         )
-    orth_rows = -S
-    orth_active = orth_rows[np.abs(S @ x) <= tol]
-    active2 = np.vstack([active1, orth_active]) if orth_active.size else active1
-    if np.linalg.matrix_rank(active2) < p.n:
+    if np.linalg.matrix_rank(lp.G[active]) < p.n:
         return CandidacyResult(
             False, "active rows including orthant facets have rank < n"
         )

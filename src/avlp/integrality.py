@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import sign_vectors
+
 
 class BudgetExceededError(RuntimeError):
     pass
@@ -37,6 +39,42 @@ def _to_int_matrix(M) -> list[list[int]]:
     return out
 
 
+def _bareiss(a: list[list[int]], skip_zero_columns: bool) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination of the integer rows a, in place.
+
+    Every division is exact, so entries stay integer minors of the input
+    and never grow beyond them.  A column without a pivot is skipped when
+    skip_zero_columns is set, and otherwise ends the elimination.  Returns
+    the number of pivots and the last pivot with the sign of the row swaps;
+    for a square matrix of full rank that is its determinant.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        if a[rank][col] == 0:
+            swap = next((i for i in range(rank + 1, nrows) if a[i][col] != 0), None)
+            if swap is None:
+                if skip_zero_columns:
+                    continue
+                break
+            a[rank], a[swap] = a[swap], a[rank]
+            sign = -sign
+        pivot_row = a[rank]
+        pivot = pivot_row[col]
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+            row[col] = 0
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
 def det_exact(M) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss
     elimination; exact for any magnitude."""
@@ -44,48 +82,13 @@ def det_exact(M) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, last = _bareiss(rows, skip_zero_columns=False)
+    return last if rank == n else 0
 
 
 def rank_exact(M) -> int:
     """Rank of an integer matrix over the rationals, exactly."""
-    rows = [r[:] for r in _to_int_matrix(M)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f1, f2 = pr[col], rows[i][col]
-                rows[i] = [f1 * rows[i][j] - f2 * pr[j] for j in range(ncols)]
-        rank += 1
-        col += 1
-    return rank
+    return _bareiss(_to_int_matrix(M), skip_zero_columns=True)[0]
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def integrality_full(A, D, budget: int = DEFAULT_BUDGET) -> IntegralityReport:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
     if total > budget:
         raise BudgetExceededError(f"workload {total} exceeds budget {budget}")
-    signs = itertools.product((-1, 1), repeat=n)
+    signs = (s.entries for s in sign_vectors(n, list(range(n))))
     return _check_signs(A, D, signs, "full", budget)
 
 

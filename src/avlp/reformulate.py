@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import AvlpProblem, SignVector
+from .core import AvlpProblem, SignVector, orthant_restriction
 from .exact import find_feasible_point, sign_vectors
-from .simplex import LinearProgram, LpStatus, solve_lp
+from .simplex import LpStatus, solve_lp
 
 
 class ReformulationError(ValueError):
@@ -400,31 +400,16 @@ def union_to_avlp(u: UnionOfPolyhedra) -> Encoding:
 
 
 def union_membership(enc: Encoding, x, tol: float = 1e-9) -> bool:
-    """Decide whether some z completes x in a union encoding by solving a
-    small LP in z for each of the 2^k sign patterns of z."""
+    """Decide whether some z completes x in a union encoding by searching
+    the 2^k sign orthants of the z-slice A_z z - D_z |z| <= b - A_x x."""
     p = enc.problem
     n = len(enc.original_vars)
-    k = p.n - n
     x = np.asarray(x, dtype=float).ravel()
     Ax = p.A[:, :n] @ x
-    if k == 0:
+    if p.n == n:
         return bool(np.all(Ax <= p.b + tol * (1.0 + np.abs(p.b))))
-    Az = p.A[:, n:]
-    Dz = p.D[:, n:]
-    for sigma in itertools.product((-1, 1), repeat=k):
-        sig = np.array(sigma, dtype=float)
-        G = np.vstack([Az - Dz * sig, -np.diag(sig)])
-        h = np.concatenate([p.b - Ax, np.zeros(k)])
-        out = solve_lp(LinearProgram(G, h, np.zeros(k)))
-        if out.is_feasible:
-            return True
-    return False
-
-
-def union_count_bound(pieces) -> int:
-    """Guaranteed inequality count of the per-orthant convex encoding:
-    the sum of the per-orthant inequality counts."""
-    return sum(len(rows) for _, rows in pieces)
+    z_slice = AvlpProblem(p.A[:, n:], p.D[:, n:], p.b - Ax, np.zeros(p.n - n))
+    return find_feasible_point(z_slice) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +436,28 @@ def _emit_orthant_convex(pieces, n, alpha):
     return np.array(A_rows), np.array(D_rows), np.array(b_vals)
 
 
-def _verify_orthant_convex(pieces, n, A_rows, D_rows, b_vals, tol=1e-7):
+def _verify_orthant_convex(pieces, emitted: AvlpProblem, tol=1e-7):
     """Check each emitted row is implied by every orthant's description."""
+    n = emitted.n
+    piece_rows = {s.entries: rows for s, rows in pieces}
+    orthants = []
+    for sp in sign_vectors(n, list(range(n))):
+        desc = piece_rows.get(sp.entries, [])
+        region = AvlpProblem(
+            np.reshape([np.ravel(a) for a, _ in desc], (len(desc), n)),
+            np.zeros((len(desc), n)),
+            [beta for _, beta in desc],
+            np.zeros(n),
+        )
+        orthants.append((sp, orthant_restriction(region, sp), orthant_restriction(emitted, sp).G))
     offending = []
-    row_idx = 0
-    piece_rows = {tuple(s.entries): rows for s, rows in pieces}
-    for s, rows in pieces:
-        for _ in rows:
-            for sp in sign_vectors(n, list(range(n))):
-                desc = piece_rows.get(tuple(sp.entries), [])
-                Sp = sp.diag()
-                G = np.vstack(
-                    [np.array([np.asarray(a, dtype=float).ravel() for a, _ in desc]).reshape(len(desc), n), -Sp]
-                )
-                h = np.concatenate([np.array([float(beta) for _, beta in desc]), np.zeros(n)])
-                obj = A_rows[row_idx] - D_rows[row_idx] * sp.as_array()
-                out = solve_lp(LinearProgram(G, h, obj))
-                if out.status is LpStatus.UNBOUNDED:
-                    offending.append((tuple(sp.entries), row_idx))
-                elif out.is_optimal and out.value > b_vals[row_idx] + tol * (1.0 + abs(b_vals[row_idx])):
-                    offending.append((tuple(sp.entries), row_idx))
-            row_idx += 1
+    for row, beta in enumerate(emitted.b):
+        for sp, lp, rows_in_sp in orthants:
+            out = solve_lp(replace(lp, obj=rows_in_sp[row]))
+            if out.status is LpStatus.UNBOUNDED or (
+                out.is_optimal and out.value > beta + tol * (1.0 + abs(beta))
+            ):
+                offending.append((sp.entries, row))
     return offending
 
 
@@ -509,15 +495,15 @@ def orthant_convex_to_avlp(
     candidates = [float(alpha)] if alpha != "auto" else None
 
     def attempt(a_val):
-        A_rows, D_rows, b_vals = _emit_orthant_convex(pieces, n, a_val)
-        return _verify_orthant_convex(pieces, n, A_rows, D_rows, b_vals), (A_rows, D_rows, b_vals)
+        emitted = AvlpProblem(*_emit_orthant_convex(pieces, n, a_val), np.zeros(n))
+        return _verify_orthant_convex(pieces, emitted), emitted
 
     if candidates is None:
         a_val = alpha0
         cap = cap_factor * alpha0
         offending = None
         while a_val <= cap:
-            offending, mats = attempt(a_val)
+            offending, problem = attempt(a_val)
             if not offending:
                 break
             a_val *= 2.0
@@ -529,11 +515,9 @@ def orthant_convex_to_avlp(
         a_val = candidates[0]
         if a_val <= 0:
             raise ReformulationError("alpha must be positive")
-        offending, mats = attempt(a_val)
+        offending, problem = attempt(a_val)
         if offending:
             raise OrthantConvexVerificationError(offending, a_val)
 
-    A_rows, D_rows, b_vals = mats
-    problem = AvlpProblem(A_rows, D_rows, b_vals, np.zeros(n))
     enc = Encoding(problem, original_vars=tuple(range(n)), aux_vars=())
-    return enc, OrthantConvexReport(alpha=a_val, rows_emitted=len(b_vals))
+    return enc, OrthantConvexReport(alpha=a_val, rows_emitted=problem.m)

@@ -46,6 +46,9 @@ class LinearProgram:
             raise ValueError(
                 f"inconsistent LP dimensions: G {G.shape}, h {h.shape}, obj {obj.shape}"
             )
+        for name, arr in (("G", G), ("h", h), ("obj", obj)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"LP field {name!r} has a non-finite entry")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "obj", obj)
@@ -201,16 +204,3 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         z[bi] = T[r, -1]
     x = z[:d] - z[d : 2 * d]
     return LpOutcome(LpStatus.OPTIMAL, x=x, value=float(obj @ x))
-
-
-def solve_lp_with_equalities(G, h, E, f, obj) -> LpOutcome:
-    """Solve max obj^T x s.t. G x <= h, E x = f by splitting equalities."""
-    obj = np.asarray(obj, dtype=float).ravel()
-    d = obj.shape[0]
-    G = np.asarray(G, dtype=float).reshape(-1, d)
-    h = np.asarray(h, dtype=float).ravel()
-    E = np.asarray(E, dtype=float).reshape(-1, d)
-    f = np.asarray(f, dtype=float).ravel()
-    Gfull = np.vstack([G, E, -E])
-    hfull = np.concatenate([h, f, -f])
-    return solve_lp(LinearProgram(Gfull, hfull, obj))

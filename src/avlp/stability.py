@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AvlpProblem, membership
-from .simplex import LinearProgram, solve_lp, solve_lp_with_equalities
+from .simplex import LinearProgram, solve_lp
 
 _WIDEN_ULPS = 4
 

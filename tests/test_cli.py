@@ -81,6 +81,20 @@ class TestProblemFile:
         assert cli.main(["solve", path]) == 1
         assert "'D'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("A", [float("nan"), -1]), ("b", [float("inf"), 1]), ("D", [0, float("-inf")])],
+    )
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_non_finite_entry_named(self, tmp_path, capsys, field, value, raw):
+        data = {"n": 1, "m": 2, "A": [1, -1], "D": [0, 0], "b": [1, 1], "c": [1], "raw": raw}
+        data[field] = value
+        path = write(tmp_path, "bad.json", data)
+        assert cli.main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"field '{field}' has a non-finite entry" in captured.err
+
     def test_raw_mode_normalizes(self, tmp_path, capsys):
         path = write(
             tmp_path, "raw.json",
@@ -301,15 +315,6 @@ class TestStability:
         assert cli.main(["stability", path, "--basis", "1"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["condition1_verified"] is False
-
-
-def test_threads_env_var(tmp_path, monkeypatch, capsys):
-    path = manhattan_file(tmp_path)
-    monkeypatch.setenv("AVLP_THREADS", "4")
-    assert cli.main(["solve", path]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("AVLP_THREADS", "zero")
-    assert cli.main(["solve", path]) == 1
 
 
 def test_determinism(tmp_path, capsys):

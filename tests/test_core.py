@@ -48,6 +48,16 @@ class TestAvlpProblem:
         with pytest.raises((ValueError, DimensionError)):
             AvlpProblem([[1.0, 0.0]], [[1.0]], [1.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("field", ["A", "D", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, field, bad):
+        data = {"A": [[1.0, 0.0]], "D": [[0.0, 1.0]], "b": [1.0], "c": [1.0, 0.0]}
+        data[field] = np.array(data[field])
+        data[field].flat[0] = bad
+        for cls in (AvlpProblem, RawProblem):
+            with pytest.raises(ValueError, match=f"field '{field}' has a non-finite entry"):
+                cls(**data)
+
     def test_arrays_read_only(self):
         p = AvlpProblem([[1.0]], [[0.0]], [1.0], [1.0])
         with pytest.raises(ValueError):

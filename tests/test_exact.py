@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from avlp import exact
 from avlp.core import AvlpProblem, membership
 from avlp.exact import (
     SolveStatus,
@@ -10,7 +11,7 @@ from avlp.exact import (
     solve_exact,
     vertex_candidacy,
 )
-from avlp.simplex import LpStatus
+from avlp.simplex import LpStatus, SimplexError
 
 
 def manhattan_ball():
@@ -101,6 +102,16 @@ def test_find_feasible_point():
     assert x is not None
     assert membership(p, x)[0]
     assert find_feasible_point(AvlpProblem([[0.0]], [[0.0]], [-1.0], [0.0])) is None
+
+
+@pytest.mark.parametrize("search", [solve_exact, find_feasible_point])
+def test_orthant_search_names_orthant_on_simplex_error(monkeypatch, search):
+    def failing_solve_lp(lp):
+        raise SimplexError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(exact, "solve_lp", failing_solve_lp)
+    with pytest.raises(SimplexError, match=r"orthant \(-1, -1\): simplex iteration"):
+        search(manhattan_ball())
 
 
 class TestVertexCandidacy:

@@ -40,6 +40,23 @@ class TestDetExact:
             det_exact([[0.5]])
 
 
+class TestRankExact:
+    def test_zero_pivot_column_is_skipped(self):
+        # column 0 has no pivot; rows 0 and 1 are parallel
+        assert rank_exact([[0, 2, 1], [0, 4, 2], [0, 1, 3]]) == 2
+        # column 1 has no pivot once column 0 is eliminated
+        assert rank_exact([[1, 2, 3], [2, 4, 7]]) == 2
+        assert rank_exact([[0, 0], [0, 0]]) == 0
+        assert rank_exact([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) == 2
+
+    def test_matches_numpy_on_randoms(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            shape = tuple(int(v) for v in rng.integers(1, 6, size=2))
+            M = rng.integers(-3, 4, size=shape) * (rng.random(shape) < 0.5)
+            assert rank_exact(M) == np.linalg.matrix_rank(M)
+
+
 class TestIsUnimodular:
     def test_identity_with_zero_columns(self):
         assert is_unimodular([[1, 0, 0, 0], [0, 1, 0, 0]]).unimodular

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from avlp import exact
 from avlp.core import SignVector, membership
 from avlp.exact import SolveStatus, solve_exact
 from avlp.reformulate import (
@@ -16,10 +17,10 @@ from avlp.reformulate import (
     encoding_membership,
     ilp01_to_avlp,
     orthant_convex_to_avlp,
-    union_count_bound,
     union_membership,
     union_to_avlp,
 )
+from avlp.simplex import SimplexError, solve_lp
 
 
 class TestIlp01:
@@ -147,6 +148,38 @@ class TestUnion:
         for x in np.linspace(-1, 4, 21):
             assert union_membership(enc, [x]) == encoding_membership(enc, [x])
 
+    def test_union_membership_searches_z_orthants_in_sign_order(self, monkeypatch):
+        u = UnionOfPolyhedra((interval(0, 1), interval(2, 3), interval(4, 5)))
+        enc = union_to_avlp(u)
+        posed = []
+
+        def recording_solve_lp(lp):
+            posed.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(exact, "solve_lp", recording_solve_lp)
+        x = np.array([3.5])  # in no piece, so every z orthant is searched
+        assert not union_membership(enc, x)
+        Az, Dz = enc.problem.A[:, 1:], enc.problem.D[:, 1:]
+        signs = list(itertools.product((-1, 1), repeat=2))
+        assert len(posed) == len(signs)
+        for lp, sig in zip(posed, signs):
+            sig = np.array(sig, dtype=float)
+            assert np.array_equal(lp.G, np.vstack([Az - Dz * sig, -np.diag(sig)]))
+            h = np.concatenate([enc.problem.b - enc.problem.A[:, :1] @ x, [0.0, 0.0]])
+            assert np.array_equal(lp.h, h)
+            assert not lp.obj.any()
+
+    @pytest.mark.parametrize("query", [union_membership, encoding_membership])
+    def test_membership_names_orthant_on_simplex_error(self, monkeypatch, query):
+        def failing_solve_lp(lp):
+            raise SimplexError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(exact, "solve_lp", failing_solve_lp)
+        enc = union_to_avlp(UnionOfPolyhedra((interval(0, 1), interval(2, 3))))
+        with pytest.raises(SimplexError, match=r"orthant \("):
+            query(enc, [0.5])
+
 
 def empty_orthant(s):
     return (SignVector(s), [(np.array([0.0, 0.0]), -1.0)])
@@ -225,13 +258,6 @@ class TestOrthantConvex:
         assert membership(enc.problem, np.array([1.5, 1.5]))[0]
         assert not membership(enc.problem, np.array([2.0, 2.0]))[0]
         assert not membership(enc.problem, np.array([-1.5, 1.5]))[0]
-
-    def test_count_bound(self):
-        pieces = [
-            (SignVector((1, 1)), [(np.array([1.0, 0.0]), 1.0)] * 3),
-            (SignVector((-1, 1)), [(np.array([1.0, 0.0]), 1.0)] * 2),
-        ]
-        assert union_count_bound(pieces) == 5
 
     def test_duplicate_orthant_rejected(self):
         piece = (SignVector((1,)), [(np.array([1.0]), 1.0)])

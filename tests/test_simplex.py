@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avlp.simplex import LinearProgram, LpStatus, solve_lp, solve_lp_with_equalities
+from avlp.simplex import LinearProgram, LpStatus, solve_lp
 
 from .oracles import oracle_solve
 
@@ -61,13 +61,13 @@ def test_degenerate_instance_terminates():
     assert out.value == pytest.approx(0.0)
 
 
-def test_equalities_wrapper():
-    # max x1 s.t. x1 + x2 = 1, x >= 0
-    out = solve_lp_with_equalities(
-        -np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]), [1.0, 0.0]
-    )
-    assert out.status is LpStatus.OPTIMAL
-    assert out.value == pytest.approx(1.0)
+@pytest.mark.parametrize("field", ["G", "h", "obj"])
+def test_rejects_non_finite_entry(field):
+    data = {"G": [[1.0, 0.0]], "h": [1.0], "obj": [1.0, 0.0]}
+    data[field] = np.array(data[field])
+    data[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"LP field '{field}' has a non-finite entry"):
+        LinearProgram(**data)
 
 
 def test_cross_check_against_rational_oracle():

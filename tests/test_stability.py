@@ -24,6 +24,11 @@ def make_interval(a, b):
     return Interval(min(a, b), max(a, b))
 
 
+def realize(x, t):
+    """The point lo + t (hi - lo) of x, clamped because it can round past hi."""
+    return min(max(x.lo + t * (x.hi - x.lo), x.lo), x.hi)
+
+
 class TestInterval:
     def test_point_ops_are_exact(self):
         a, b = Interval.point(0.1), Interval.point(0.3)
@@ -43,8 +48,8 @@ class TestInterval:
     def test_product_encloses_all_realizations(self, a, b, c, d, t1, t2):
         x = make_interval(a, b)
         y = make_interval(c, d)
-        vx = x.lo + t1 * (x.hi - x.lo)
-        vy = y.lo + t2 * (y.hi - y.lo)
+        vx = realize(x, t1)
+        vy = realize(y, t2)
         prod = x * y
         assert prod.lo <= vx * vy <= prod.hi
 
@@ -54,8 +59,8 @@ class TestInterval:
         x = make_interval(a, b)
         y = make_interval(c, d)
         s = x + y
-        vx = x.lo + t1 * (x.hi - x.lo)
-        vy = y.lo + t2 * (y.hi - y.lo)
+        vx = realize(x, t1)
+        vy = realize(y, t2)
         assert s.lo <= vx + vy <= s.hi
 
 
