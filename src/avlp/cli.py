@@ -170,40 +170,57 @@ def _encoding_file(enc: reformulate.Encoding, **meta) -> dict:
     )
 
 
+def _field(obj, key: str, where: str = ""):
+    """obj[key], or a ProblemFileError naming the missing field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ProblemFileError(f"missing field {where + key!r}")
+    return obj[key]
+
+
+def _rows(data, key: str, g="g", h="h", where="") -> list[tuple[np.ndarray, float]]:
+    """The (g, h) pairs of the list data[key], naming any missing field."""
+    rows = []
+    for i, t in enumerate(_field(data, key, where)):
+        at = f"{where}{key}[{i}]."
+        rows.append((np.asarray(_field(t, g, at), dtype=float), float(_field(t, h, at))))
+    return rows
+
+
 def cmd_reformulate(args) -> int:
     data = _read_json(args.input)
     kind = args.kind
     if kind == "ilp01":
+        m, n = int(_field(data, "m")), int(_field(data, "n"))
         enc = reformulate.ilp01_to_avlp(
-            _matrix(data["A"], int(data["m"]), int(data["n"]), "A"),
-            data["b"], data["c"],
+            _matrix(_field(data, "A"), m, n, "A"), _field(data, "b"), _field(data, "c"),
         )
         out = _encoding_file(enc)
     elif kind == "disj-ineq":
-        n = int(data["n"])
-        terms = [(np.asarray(t["g"], dtype=float), float(t["h"])) for t in data["terms"]]
-        enc = reformulate.disjunction_ineq_to_avlp(terms, n)
+        n = int(_field(data, "n"))
+        enc = reformulate.disjunction_ineq_to_avlp(_rows(data, "terms"), n)
         out = _encoding_file(enc)
     elif kind == "disj-eq":
-        n = int(data["n"])
-        rows = lambda key: [(np.asarray(t["g"], dtype=float), float(t["h"])) for t in data[key]]
+        n = int(_field(data, "n"))
         mode = "paper_literal" if args.mode == "paper-literal" else "corrected"
-        enc = reformulate.disjunction_eq_to_avlp(rows("left"), rows("right"), n, mode=mode)
+        enc = reformulate.disjunction_eq_to_avlp(
+            _rows(data, "left"), _rows(data, "right"), n, mode=mode
+        )
         out = _encoding_file(enc)
     elif kind == "union":
+        n = int(_field(data, "n"))
         pieces = []
-        for piece in data["pieces"]:
-            h = np.asarray(piece["h"], dtype=float)
-            G = _matrix(piece["G"], h.size, int(data["n"]), "G")
+        for i, piece in enumerate(_field(data, "pieces")):
+            h = np.asarray(_field(piece, "h", f"pieces[{i}]."), dtype=float)
+            G = _matrix(_field(piece, "G", f"pieces[{i}]."), h.size, n, f"pieces[{i}].G")
             pieces.append(reformulate.Polyhedron(G, h))
         enc = reformulate.union_to_avlp(reformulate.UnionOfPolyhedra(tuple(pieces)))
         out = _encoding_file(enc)
     elif kind == "orthant-convex":
         pieces = []
-        for piece in data["pieces"]:
-            s = SignVector(tuple(int(v) for v in piece["s"]))
-            rows = [(np.asarray(r["a"], dtype=float), float(r["beta"])) for r in piece["rows"]]
-            pieces.append((s, rows))
+        for i, piece in enumerate(_field(data, "pieces")):
+            at = f"pieces[{i}]."
+            s = SignVector(tuple(int(v) for v in _field(piece, "s", at)))
+            pieces.append((s, _rows(piece, "rows", "a", "beta", at)))
         alpha = data.get("alpha", "auto")
         try:
             enc, rep = reformulate.orthant_convex_to_avlp(pieces, alpha=alpha)
@@ -295,7 +312,14 @@ def cmd_stability(args) -> int:
     p, _ = load_problem(args.path)
     basis = None
     if args.basis:
-        basis = tuple(int(v) for v in args.basis.split(","))
+        try:
+            basis = tuple(int(v) for v in args.basis.split(","))
+        except ValueError:
+            raise ProblemFileError(f"--basis {args.basis!r}: not a list of row indices") from None
+        if len(basis) != p.n:
+            raise ProblemFileError(f"--basis needs {p.n} row indices, got {args.basis!r}")
+        if not all(0 <= i < p.m for i in basis):
+            raise ProblemFileError(f"--basis index out of range 0..{p.m - 1}: {args.basis!r}")
     rep = stability.basis_stability_check(p, basis)
     _emit(
         {

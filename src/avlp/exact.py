@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +25,12 @@ class SolveStatus:
 
 
 @dataclass(frozen=True)
-class OrthantResult:
-    sign: SignVector
-    status: LpStatus
-    value: float | None
-
-
-@dataclass(frozen=True)
 class SolveReport:
     status: str
     f_star: float | None = None
     x_star: np.ndarray | None = None
     witness_sign: SignVector | None = None
     orthants_solved: int = 0
-    per_orthant: tuple[OrthantResult, ...] = field(default_factory=tuple)
     ray: np.ndarray | None = None
 
 
@@ -74,43 +66,39 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
     does not depend on the remaining signs, which are left free).
     Aggregation: any unbounded orthant makes the problem unbounded,
     otherwise the best optimal orthant wins; ties go to the
-    lexicographically smallest sign vector.
+    lexicographically smallest sign vector.  The optimal point is
+    checked for membership before it is returned; a point that fails
+    raises SimplexError naming its orthant.
     """
-    per_orthant: list[OrthantResult] = []
     best = None
     unbounded = None
+    solved = 0
 
     for s, out in _orthant_search(p):
-        per_orthant.append(
-            OrthantResult(s, out.status, out.value if out.is_optimal else None)
-        )
+        solved += 1
         if out.status is LpStatus.UNBOUNDED and unbounded is None:
             unbounded = (s, out)
         elif out.is_optimal and (best is None or out.value > best[1].value):
             best = (s, out)
 
-    solved = len(per_orthant)
     if unbounded is not None:
         return SolveReport(
             SolveStatus.UNBOUNDED,
             witness_sign=unbounded[0],
             orthants_solved=solved,
-            per_orthant=tuple(per_orthant),
             ray=unbounded[1].ray,
         )
     if best is None:
-        return SolveReport(
-            SolveStatus.INFEASIBLE,
-            orthants_solved=solved,
-            per_orthant=tuple(per_orthant),
-        )
+        return SolveReport(SolveStatus.INFEASIBLE, orthants_solved=solved)
+    s, out = best
+    if not membership(p, out.x)[0]:
+        raise SimplexError(f"orthant {s.entries}: optimal point fails membership")
     return SolveReport(
         SolveStatus.OPTIMAL,
-        f_star=float(best[1].value),
-        x_star=best[1].x,
-        witness_sign=best[0],
+        f_star=float(out.value),
+        x_star=out.x,
+        witness_sign=s,
         orthants_solved=solved,
-        per_orthant=tuple(per_orthant),
     )
 
 

@@ -82,11 +82,10 @@ class LpOutcome:
 def _pivot(T: np.ndarray, red: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * piv
-    if abs(red[col]) > 0.0:
-        red -= red[col] * piv
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    T -= np.outer(colv, piv)
+    red -= red[col] * piv
     basis[row] = col
 
 
@@ -120,7 +119,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve an inequality-form LP, returning status plus certificate.
 
     Deterministic: Dantzig pricing with a switch to Bland's rule after
-    2*(k+d) consecutive degenerate pivots.
+    2*(k+d) consecutive degenerate pivots.  Phase 1 starts from a crash
+    basis: the slack of every row with h_i >= 0 and the artificial of
+    every other row, so with h >= 0 phase 1 takes no pivot.
     """
     G, h, obj = lp.G, lp.h, lp.obj
     k, d = G.shape
@@ -145,16 +146,19 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
+    # crash basis: a row with h_i >= 0 starts with its slack basic, a
+    # flipped row with its artificial; every artificial keeps cost 1
     T = np.hstack([A, np.eye(k), b[:, None]])
-    basis = list(range(N, N + k))
+    rows = np.arange(k)
+    basis = np.where(flip, N + rows, 2 * d + rows).tolist()
     bland_after = 2 * (k + d)
     max_iters = 5000 + 200 * (k + N)
 
     # phase 1: minimize sum of artificials
     red = np.zeros(N + k + 1)
     red[N : N + k] = 1.0
-    red[: N + k] -= T[:, : N + k].sum(axis=0)
-    red[-1] = -T[:, -1].sum()
+    red[: N + k] -= T[flip, : N + k].sum(axis=0)
+    red[-1] = -T[flip, -1].sum()
     if _iterate(T, red, basis, bland_after, max_iters) is not None:
         raise SimplexError("phase-1 problem reported unbounded")
 

@@ -219,6 +219,28 @@ class TestReformulate:
         assert cli.main(["reformulate", "orthant-convex", inp, out]) == 1
         assert "orthant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, data, field",
+        [
+            ("ilp01", {"n": 2, "m": 1}, "'A'"),
+            ("ilp01", {"n": 2, "A": [1, 1], "b": [1], "c": [1, 1]}, "'m'"),
+            ("disj-ineq", {"n": 1}, "'terms'"),
+            ("disj-ineq", {"n": 1, "terms": [{"g": [1]}]}, "'terms[0].h'"),
+            ("disj-eq", {"n": 1, "left": [{"g": [1], "h": 1}]}, "'right'"),
+            ("disj-eq", {"n": 1, "left": [{"h": 1}], "right": []}, "'left[0].g'"),
+            ("union", {"pieces": []}, "'n'"),
+            ("union", {"n": 1, "pieces": [{"G": [1]}]}, "'pieces[0].h'"),
+            ("orthant-convex", {"n": 1}, "'pieces'"),
+            ("orthant-convex", {"pieces": [{"rows": []}]}, "'pieces[0].s'"),
+            ("orthant-convex", {"pieces": [{"s": [1], "rows": [{"a": [1]}]}]},
+             "'pieces[0].rows[0].beta'"),
+        ],
+    )
+    def test_missing_field_is_named(self, tmp_path, capsys, kind, data, field):
+        inp = write(tmp_path, "in.json", data)
+        assert cli.main(["reformulate", kind, inp, str(tmp_path / "out.json")]) == 1
+        assert f"missing field {field}" in capsys.readouterr().err
+
 
 class TestPolygon2d:
     def test_manhattan_triangles(self, tmp_path, capsys):
@@ -315,6 +337,14 @@ class TestStability:
         assert cli.main(["stability", path, "--basis", "1"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["condition1_verified"] is False
+
+    @pytest.mark.parametrize("basis", ["5", "-1", "0,1", "x"])
+    def test_bad_basis_flag_is_named(self, tmp_path, capsys, basis):
+        path = write(
+            tmp_path, "s.json", {"n": 1, "m": 1, "A": [1], "D": [0.1], "b": [1], "c": [1]},
+        )
+        assert cli.main(["stability", path, "--basis", basis]) == 1
+        assert "--basis" in capsys.readouterr().err
 
 
 def test_determinism(tmp_path, capsys):

@@ -11,7 +11,7 @@ from avlp.exact import (
     solve_exact,
     vertex_candidacy,
 )
-from avlp.simplex import LpStatus, SimplexError
+from avlp.simplex import LpOutcome, LpStatus, SimplexError
 
 
 def manhattan_ball():
@@ -112,6 +112,16 @@ def test_orthant_search_names_orthant_on_simplex_error(monkeypatch, search):
     monkeypatch.setattr(exact, "solve_lp", failing_solve_lp)
     with pytest.raises(SimplexError, match=r"orthant \(-1, -1\): simplex iteration"):
         search(manhattan_ball())
+
+
+def test_solve_exact_rejects_non_member_optimum(monkeypatch):
+    # every orthant LP "returns" (5, 5), which lies outside the feasible set
+    def wrong_solve_lp(lp):
+        return LpOutcome(LpStatus.OPTIMAL, x=np.array([5.0, 5.0]), value=5.0)
+
+    monkeypatch.setattr(exact, "solve_lp", wrong_solve_lp)
+    with pytest.raises(SimplexError, match=r"orthant \(-1, -1\): optimal point fails membership"):
+        solve_exact(manhattan_ball())
 
 
 class TestVertexCandidacy:

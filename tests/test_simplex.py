@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avlp import simplex
 from avlp.simplex import LinearProgram, LpStatus, solve_lp
 
 from .oracles import oracle_solve
@@ -59,6 +60,45 @@ def test_degenerate_instance_terminates():
     out = solve_lp(LinearProgram(G, h, [1.0, 1.0]))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(0.0)
+
+
+def test_zero_objective_with_nonnegative_h_needs_no_pivot(monkeypatch):
+    # the slack basis is feasible when h >= 0, so x = 0 is returned as is
+    def no_pivot(*args):
+        raise AssertionError("unexpected pivot")
+
+    monkeypatch.setattr(simplex, "_pivot", no_pivot)
+    rng = np.random.default_rng(3)
+    G = rng.integers(-3, 4, size=(12, 4)).astype(float)
+    h = rng.integers(0, 4, size=12).astype(float)
+    out = solve_lp(LinearProgram(G, h, np.zeros(4)))
+    assert out.status is LpStatus.OPTIMAL
+    assert np.array_equal(out.x, np.zeros(4))
+
+
+def test_certificates_on_random_mixed_sign_lps():
+    rng = np.random.default_rng(11)
+    counts = {status: 0 for status in LpStatus}
+    for _ in range(3000):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 9))
+        G = rng.integers(-3, 4, size=(k, d)).astype(float)
+        h = rng.integers(-3, 4, size=k).astype(float)
+        c = rng.integers(-3, 4, size=d).astype(float)
+        out = solve_lp(LinearProgram(G, h, c))
+        counts[out.status] += 1
+        if out.status is LpStatus.INFEASIBLE:
+            y = out.farkas / np.max(out.farkas)
+            assert np.all(y >= 0.0)
+            assert np.allclose(y @ G, 0.0, atol=1e-9)
+            assert y @ h < -1e-9
+        elif out.status is LpStatus.UNBOUNDED:
+            r = out.ray
+            assert np.all(G @ r <= 1e-9)
+            assert c @ r > 1e-9
+        else:
+            assert np.all(G @ out.x <= h + 1e-9 * (1.0 + np.abs(h)))
+    assert min(counts.values()) > 300, counts
 
 
 @pytest.mark.parametrize("field", ["G", "h", "obj"])
