@@ -115,6 +115,7 @@ def cmd_solve(args) -> int:
         "x_star": rep.x_star,
         "witness_sign": list(rep.witness_sign.entries) if rep.witness_sign else None,
         "orthants_solved": rep.orthants_solved,
+        "nodes_solved": rep.nodes_solved,
         "ray": rep.ray,
     }
     if args.relax:

@@ -3,7 +3,8 @@
 The canonical problem is ``max c^T x  s.t.  A x - D |x| <= b`` with D >= 0
 entrywise.  This module provides the problem types, normalization of
 sign-unrestricted D, restriction to a sign orthant (where the problem
-becomes a plain LP), and membership evaluation.
+becomes a plain LP), the split LP relaxation and the secant relaxation
+of a sign-tree node, and membership evaluation.
 """
 
 from __future__ import annotations
@@ -186,6 +187,57 @@ def orthant_restriction(p: AvlpProblem, s: SignVector) -> LinearProgram:
     sign_rows = -S[~free]
     G = np.vstack([p.A - p.D @ S, sign_rows])
     h = np.concatenate([p.b, np.zeros(sign_rows.shape[0])])
+    return LinearProgram(G, h, p.c)
+
+
+def split_relaxation(p: AvlpProblem) -> LinearProgram:
+    """LP relaxation in split form x = p - q, t = p + q, p, q >= 0, with t
+    standing in for |x|:
+
+        max c^T p - c^T q  s.t.  (A - D) p - (A + D) q <= b.
+
+    The variables are p, then q; the rows are those of the problem, then
+    -p, -q <= 0.  When optimal, its value bounds the exact optimum.
+    """
+    n = p.n
+    G = np.vstack([np.hstack([p.A - p.D, -(p.A + p.D)]), -np.eye(2 * n)])
+    h = np.concatenate([p.b, np.zeros(2 * n)])
+    return LinearProgram(G, h, np.concatenate([p.c, -p.c]))
+
+
+def secant(l, u) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and intercept of the secant of |x| on [l, u], l < 0 < u: the
+    least concave function that is >= |x| there, equal to it at both ends."""
+    return (u + l) / (u - l), -2.0 * u * l / (u - l)
+
+
+def secant_relaxation(p: AvlpProblem, signs, bounds) -> LinearProgram:
+    """LP relaxation in x of the points whose signs match ``signs``
+    (entries in {-1, 0, +1}, 0 meaning free) within ``bounds = (l, u)``:
+
+        max c^T x  s.t.  A x - D tau(x) <= b,  -s_j x_j <= 0 (s_j fixed),
+                         x_j <= u_j, -x_j <= -l_j (s_j free, D column nonzero),
+
+    where tau_j(x_j) is s_j x_j = |x_j| on a fixed coordinate and the
+    ``secant`` of |x_j| on [l_j, u_j] on a free one with a nonzero column
+    of D (such coordinates need l_j < 0 < u_j).  As D >= 0, this is the
+    split relaxation t >= |x| with t capped by the secant, projected onto
+    x.  With every nonzero column of D fixed it is ``orthant_restriction``'s
+    LP.
+    """
+    signs = np.asarray(signs)
+    if signs.shape != (p.n,):
+        raise DimensionError(f"sign vector shape {signs.shape}, expected ({p.n},)")
+    l, u = bounds
+    fixed = signs != 0
+    capped = np.flatnonzero(~fixed & np.any(p.D != 0, axis=0))
+    slope = signs.astype(float)
+    intercept = np.zeros(p.n)
+    slope[capped], intercept[capped] = secant(l[capped], u[capped])
+    eye = np.eye(p.n)
+    G = np.vstack([p.A - p.D * slope, -eye[fixed] * signs[fixed, None], eye[capped], -eye[capped]])
+    h = np.concatenate([p.b + p.D @ intercept, np.zeros(np.count_nonzero(fixed)),
+                        u[capped], -l[capped]])
     return LinearProgram(G, h, p.c)
 
 

@@ -1,21 +1,35 @@
-"""Exact solving by orthant enumeration, the LP relaxation bound, and the
-vertex-candidacy test.
+"""Exact solving by a sign-tree branch-and-bound or orthant enumeration,
+the LP relaxation bound, and the vertex-candidacy test.
 
 The feasible set is a union of convex polyhedra, one per sign orthant, so
-the problem reduces to 2^l LPs where l counts the nonzero columns of D.
-Every orthant search of the package runs through ``_orthant_search``.
+the problem reduces to at most 2^l LPs where l counts the nonzero columns
+of D.  When the split LP relaxation bounds every coordinate, ``solve_exact``
+searches a tree over those signs instead and typically solves a few dozen
+LPs; otherwise it solves all 2^l orthant LPs.  Every orthant sweep of the
+package runs through ``_orthant_search``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AvlpProblem, SignVector, membership, nonzero_columns, orthant_restriction
-from .simplex import LinearProgram, LpOutcome, LpStatus, SimplexError, solve_lp
+from .core import (
+    AvlpProblem,
+    SignVector,
+    membership,
+    nonzero_columns,
+    orthant_restriction,
+    secant,
+    secant_relaxation,
+    split_relaxation,
+)
+from .simplex import FEAS_TOL, PIVOT_TOL, LinearProgram, LpOutcome, LpStatus, SimplexError, solve_lp
 
 
 class SolveStatus:
@@ -26,12 +40,19 @@ class SolveStatus:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Verdict of ``solve_exact``.  ``orthants_solved`` counts the orthant
+    LPs of the enumeration; ``nodes_solved`` counts the LPs of the sign
+    tree (its bound LPs, its node LPs and at most one orthant LP that
+    polishes its optimum).  One path runs, so one of the
+    two is 0."""
+
     status: str
     f_star: float | None = None
     x_star: np.ndarray | None = None
     witness_sign: SignVector | None = None
     orthants_solved: int = 0
     ray: np.ndarray | None = None
+    nodes_solved: int = 0
 
 
 def sign_vectors(n: int, enumerated: list[int]) -> Iterator[SignVector]:
@@ -47,29 +68,149 @@ def sign_vectors(n: int, enumerated: list[int]) -> Iterator[SignVector]:
         yield SignVector(tuple(s))
 
 
+def _solve(lp: LinearProgram, where: str) -> LpOutcome:
+    """solve_lp, with a SimplexError re-raised naming ``where`` the LP came
+    from.  An optimum of the wrong length is such an error too."""
+    try:
+        out = solve_lp(lp)
+    except SimplexError as exc:
+        raise SimplexError(f"{where}: {exc}") from exc
+    if out.is_optimal and out.x.shape != (lp.num_vars,):
+        raise SimplexError(f"{where}: optimum has {out.x.size} entries, expected {lp.num_vars}")
+    return out
+
+
 def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
     """Solve the orthant LP of every sign vector over the nonzero columns
     of D, yielding (sign, outcome) in sign_vectors order.  A SimplexError
     is re-raised naming the orthant it came from."""
     for s in sign_vectors(p.n, nonzero_columns(p.D)):
-        try:
-            out = solve_lp(orthant_restriction(p, s))
-        except SimplexError as exc:
-            raise SimplexError(f"orthant {s.entries}: {exc}") from exc
-        yield s, out
+        yield s, _solve(orthant_restriction(p, s), f"orthant {s.entries}")
 
 
-def solve_exact(p: AvlpProblem) -> SolveReport:
-    """Solve the problem exactly by enumerating sign orthants.
+def _beats(bound: float, incumbent: float) -> bool:
+    """Whether a node whose relaxation reaches ``bound`` may still improve
+    on the incumbent value.  Without an incumbent every node may:
+    -inf + tol * inf is NaN, and comparing with it would prune them all."""
+    return incumbent == -math.inf or bound > incumbent + FEAS_TOL * (1.0 + abs(incumbent))
 
-    Signs are enumerated only on the nonzero columns of D (the orthant LP
-    does not depend on the remaining signs, which are left free).
-    Aggregation: any unbounded orthant makes the problem unbounded,
-    otherwise the best optimal orthant wins; ties go to the
-    lexicographically smallest sign vector.  The optimal point is
-    checked for membership before it is returned; a point that fails
-    raises SimplexError naming its orthant.
+
+def _coordinate_bounds(p: AvlpProblem) -> tuple[LpStatus, np.ndarray, np.ndarray, int]:
+    """Bounds l <= x <= u over the split relaxation from 2n LPs, widened
+    outward by PIVOT_TOL * (1 + |bound|), the kernel's optimality
+    tolerance.  A secant on these bounds leaves t_j - |x_j| of the widening
+    at the ends, so a wider margin (FEAS_TOL) would keep points on a box
+    face from passing membership and make the tree branch to the leaves.
+
+    Returns (status, l, u, LPs solved): status is OPTIMAL when every
+    coordinate is bounded, otherwise the status of the first LP that was
+    not optimal (INFEASIBLE: the relaxation, and so the problem, is
+    infeasible), with l and u None."""
+    root = split_relaxation(p)
+    n = p.n
+    ends = np.zeros((2, n))
+    solved = 0
+    for j in range(n):
+        for row, sign in enumerate((1.0, -1.0)):
+            obj = np.zeros(2 * n)
+            obj[j], obj[n + j] = sign, -sign
+            out = _solve(LinearProgram(root.G, root.h, obj), f"bound of x_{j}")
+            solved += 1
+            if not out.is_optimal:
+                return out.status, None, None, solved
+            ends[row, j] = sign * out.value
+    u, l = ends
+    return (LpStatus.OPTIMAL, l - PIVOT_TOL * (1.0 + np.abs(l)),
+            u + PIVOT_TOL * (1.0 + np.abs(u)), solved)
+
+
+def _sign_tree(p: AvlpProblem) -> SolveReport | None:
+    """Best-first branch-and-bound over the signs of the nonzero columns of
+    D, or None when the relaxation leaves some coordinate unbounded (or its
+    bound LPs fail), so that only the orthant sweep can decide.
+
+    Each node fixes some signs and solves ``secant_relaxation`` on the root
+    bounds; its value bounds every point of the node.  A node closes when
+    its point is a member, or when every sign is fixed (its LP is then the
+    orthant LP); otherwise it branches on the coordinate with the largest
+    D-weighted gap colsum(D)_j (sec_j(x_j) - |x_j|).
     """
+    try:
+        status, l, u, solved = _coordinate_bounds(p)
+    except SimplexError:
+        return None
+    if status is LpStatus.INFEASIBLE:
+        return SolveReport(SolveStatus.INFEASIBLE, nodes_solved=solved)
+    if status is LpStatus.UNBOUNDED:
+        return None
+
+    weight = p.D.sum(axis=0)
+    branchable = weight > 0
+    root = np.zeros(p.n, dtype=int)
+    root[branchable & (l >= 0.0)] = 1
+    root[branchable & (u <= 0.0)] = -1
+    incumbent, best, best_at_leaf = -math.inf, None, False
+    heap = []
+    order = itertools.count()
+
+    def visit(signs):
+        nonlocal solved, incumbent, best, best_at_leaf
+        where = f"node {tuple(int(v) for v in signs)}"
+        out = _solve(secant_relaxation(p, signs, (l, u)), where)
+        solved += 1
+        if out.status is LpStatus.UNBOUNDED:
+            raise SimplexError(f"{where}: LP reported unbounded within finite bounds")
+        if out.status is LpStatus.INFEASIBLE or not _beats(out.value, incumbent):
+            return
+        x = out.x
+        free = branchable & (signs == 0)
+        if not free.any() or membership(p, x)[0]:
+            incumbent, best, best_at_leaf = out.value, x, not free.any()
+        else:
+            slope, intercept = secant(l[free], u[free])
+            gap = np.full(p.n, -1.0)
+            gap[free] = weight[free] * (slope * x[free] + intercept - np.abs(x[free]))
+            heapq.heappush(heap, (-out.value, next(order), signs, int(np.argmax(gap))))
+
+    visit(root)
+    while heap:
+        bound, _, signs, j = heapq.heappop(heap)
+        if not _beats(-bound, incumbent):
+            break  # best first: no node left can beat the incumbent
+        for sign in (-1, 1):
+            child = signs.copy()
+            child[j] = sign
+            visit(child)
+
+    if best is None:
+        return SolveReport(SolveStatus.INFEASIBLE, nodes_solved=solved)
+    if not best_at_leaf:
+        # the secant of the widened bounds relaxes every row a little even
+        # on a box face, so a member point of a node with free signs may
+        # sit up to membership's tolerance outside the set; the orthant LP
+        # of its signs (a leaf) gives a vertex of the set itself
+        signs = np.where(branchable, np.where(best > 0.0, 1, -1), 0)
+        out = _solve(secant_relaxation(p, signs, (l, u)), f"orthant {tuple(int(v) for v in signs)}")
+        solved += 1
+        if out.is_optimal:
+            best = out.x
+    # the lexicographically smallest orthant (-1 < +1) containing best
+    witness = SignVector(tuple(np.where(branchable, np.where(best > 0.0, 1, -1), 0)))
+    if not membership(p, best)[0]:
+        raise SimplexError(f"orthant {witness.entries}: optimal point fails membership")
+    return SolveReport(
+        SolveStatus.OPTIMAL,
+        f_star=float(p.c @ best),
+        x_star=best,
+        witness_sign=witness,
+        nodes_solved=solved,
+    )
+
+
+def _sweep(p: AvlpProblem) -> SolveReport:
+    """Solve every orthant LP.  Any unbounded orthant makes the problem
+    unbounded, otherwise the best optimal orthant wins; ties go to the
+    lexicographically smallest sign vector."""
     best = None
     unbounded = None
     solved = 0
@@ -102,6 +243,26 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
     )
 
 
+def solve_exact(p: AvlpProblem) -> SolveReport:
+    """Solve the problem exactly.
+
+    Signs matter only on the nonzero columns of D.  When the split
+    relaxation bounds every coordinate, a sign-tree branch-and-bound
+    decides (``nodes_solved`` LPs); its witness sign is the
+    lexicographically smallest orthant containing x_star.  Otherwise every
+    orthant LP is solved (``orthants_solved`` LPs): any unbounded orthant
+    makes the problem unbounded, and ties between optimal orthants go to
+    the lexicographically smallest sign vector.  Either way the optimal
+    point is checked for membership before it is returned; a point that
+    fails raises SimplexError naming its orthant.
+    """
+    if nonzero_columns(p.D):
+        report = _sign_tree(p)
+        if report is not None:
+            return report
+    return _sweep(p)
+
+
 def find_feasible_point(p: AvlpProblem) -> np.ndarray | None:
     """First feasible point found during orthant enumeration, or None."""
     for _, out in _orthant_search(p.with_objective(np.zeros(p.n))):
@@ -113,21 +274,13 @@ def find_feasible_point(p: AvlpProblem) -> np.ndarray | None:
 
 
 def relaxation_bound(p: AvlpProblem) -> LpOutcome:
-    """LP relaxation via the split x = x1 - x2, |x| ~ x1 + x2.
+    """LP relaxation via the split x = x1 - x2, |x| ~ x1 + x2, posed by
+    ``split_relaxation``.
 
     Solves max c^T x1 - c^T x2 s.t. (A-D)x1 - (A+D)x2 <= b, x1, x2 >= 0.
     When optimal, its value is an upper bound on the exact optimum.
     """
-    n = p.n
-    G = np.vstack(
-        [
-            np.hstack([p.A - p.D, -(p.A + p.D)]),
-            -np.eye(2 * n),
-        ]
-    )
-    h = np.concatenate([p.b, np.zeros(2 * n)])
-    obj = np.concatenate([p.c, -p.c])
-    return solve_lp(LinearProgram(G, h, obj))
+    return solve_lp(split_relaxation(p))
 
 
 @dataclass(frozen=True)

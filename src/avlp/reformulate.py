@@ -399,15 +399,14 @@ def union_to_avlp(u: UnionOfPolyhedra) -> Encoding:
     )
 
 
-def union_membership(enc: Encoding, x, tol: float = 1e-9) -> bool:
+def union_membership(enc: Encoding, x) -> bool:
     """Decide whether some z completes x in a union encoding by searching
-    the 2^k sign orthants of the z-slice A_z z - D_z |z| <= b - A_x x."""
+    the 2^k sign orthants of the z-slice A_z z - D_z |z| <= b - A_x x.
+    With k = 0 the slice has no columns and its one LP checks the rows."""
     p = enc.problem
     n = len(enc.original_vars)
     x = np.asarray(x, dtype=float).ravel()
     Ax = p.A[:, :n] @ x
-    if p.n == n:
-        return bool(np.all(Ax <= p.b + tol * (1.0 + np.abs(p.b))))
     z_slice = AvlpProblem(p.A[:, n:], p.D[:, n:], p.b - Ax, np.zeros(p.n - n))
     return find_feasible_point(z_slice) is not None
 

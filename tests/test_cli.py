@@ -113,6 +113,28 @@ class TestSolve:
         assert rep["status"] == "optimal"
         assert rep["f_star"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_lp_counts_name_the_search(self, tmp_path, capsys):
+        # the relaxation of the Manhattan ball is unbounded: enumeration
+        assert cli.main(["solve", manhattan_file(tmp_path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["orthants_solved"], rep["nodes_solved"]) == (4, 0)
+        # with |x_j| <= 1 added the sign tree decides
+        path = write(
+            tmp_path, "boxed.json",
+            {
+                "n": 2, "m": 8,
+                "A": [10, 10, 10, -10, -10, 10, -10, -10, 1, 0, 0, 1, -1, 0, 0, -1],
+                "D": [1] * 8 + [0] * 8,
+                "b": [9, 9, 9, 9, 1, 1, 1, 1],
+                "c": [1, 0],
+            },
+        )
+        assert cli.main(["solve", path]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["schema_version"] == 1
+        assert rep["orthants_solved"] == 0 and rep["nodes_solved"] > 0
+        assert rep["witness_sign"] == [1, -1]
+
     def test_infeasible_exit_two(self, tmp_path):
         path = write(
             tmp_path, "i.json", {"n": 1, "m": 1, "A": [0], "D": [0], "b": [-1], "c": [0]}

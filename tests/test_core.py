@@ -10,7 +10,10 @@ from avlp.core import (
     nonzero_columns,
     normalize,
     orthant_restriction,
+    secant,
+    secant_relaxation,
     sgn,
+    split_relaxation,
 )
 
 
@@ -121,3 +124,53 @@ def test_orthant_restriction_zero_sign_rejected_when_d_column_nonzero():
 def test_nonzero_columns():
     D = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
     assert nonzero_columns(D) == [1]
+
+
+def _random_problem(rng, m=4, n=3):
+    return AvlpProblem(rng.normal(size=(m, n)), np.abs(rng.normal(size=(m, n))),
+                       rng.uniform(0.5, 2.0, size=m), rng.normal(size=n))
+
+
+def test_split_relaxation_root_is_the_relaxation_lp():
+    p = _random_problem(np.random.default_rng(0))
+    lp = split_relaxation(p)
+    n = p.n
+    G = np.vstack([np.hstack([p.A - p.D, -(p.A + p.D)]), -np.eye(2 * n)])
+    assert np.array_equal(lp.G, G)
+    assert np.array_equal(lp.h, np.concatenate([p.b, np.zeros(2 * n)]))
+    assert np.array_equal(lp.obj, np.concatenate([p.c, -p.c]))
+
+
+def test_secant_relaxation_leaf_is_the_orthant_lp():
+    p = _random_problem(np.random.default_rng(1))
+    s = SignVector((1, -1, 1))
+    bounds = (np.full(3, -2.0), np.full(3, 3.0))
+    lp, leaf = secant_relaxation(p, np.array(s.entries), bounds), orthant_restriction(p, s)
+    assert np.array_equal(lp.G, leaf.G)
+    assert np.array_equal(lp.h, leaf.h)
+    assert np.array_equal(lp.obj, leaf.obj)
+
+
+def test_secant_is_exact_at_both_ends_and_above_between():
+    l, u = np.array([-1.0, -3.0]), np.array([4.0, 2.0])
+    slope, intercept = secant(l, u)
+    assert slope * l + intercept == pytest.approx(np.abs(l))
+    assert slope * u + intercept == pytest.approx(u)
+    assert np.all(intercept > 0.0)  # its value at x = 0, above |0|
+
+
+def test_secant_relaxation_caps_free_coordinates_by_the_secant():
+    # x_0 free on [-1, 4] with a nonzero column of D; x_1 fixed; x_2 free
+    # but its column of D is zero, so it keeps |x_2| out and gets no box
+    p = AvlpProblem(np.ones((1, 3)), [[1.0, 1.0, 0.0]], [1.0], [1.0, 1.0, 1.0])
+    lp = secant_relaxation(p, np.array([0, 1, 0]), (np.full(3, -1.0), np.full(3, 4.0)))
+    # sec(x_0) = 0.6 x_0 + 1.6: x_0 + x_1 + x_2 - (0.6 x_0 + 1.6) - x_1 <= 1,
+    # then the sign row -x_1 <= 0 and the box -1 <= x_0 <= 4
+    assert np.allclose(lp.G, [[0.4, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert np.allclose(lp.h, [2.6, 0.0, 4.0, 1.0])
+
+
+def test_secant_relaxation_rejects_wrong_sign_length():
+    p = AvlpProblem([[1.0]], [[1.0]], [1.0], [1.0])
+    with pytest.raises(DimensionError):
+        secant_relaxation(p, np.array([1, 1]), (np.full(1, -1.0), np.full(1, 1.0)))

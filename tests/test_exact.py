@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from avlp import exact
-from avlp.core import AvlpProblem, membership
+from avlp.core import AvlpProblem, membership, nonzero_columns
 from avlp.exact import (
     SolveStatus,
     find_feasible_point,
@@ -11,7 +13,9 @@ from avlp.exact import (
     solve_exact,
     vertex_candidacy,
 )
-from avlp.simplex import LpOutcome, LpStatus, SimplexError
+from avlp.simplex import LpOutcome, LpStatus, SimplexError, solve_lp
+
+from .oracles import oracle_solve, random_integer_instance
 
 
 def manhattan_ball():
@@ -21,6 +25,19 @@ def manhattan_ball():
     D = np.ones((4, 2))
     b = 9.0 * np.ones(4)
     return AvlpProblem(A, D, b, [1.0, 0.0])
+
+
+def boxed(A, D, b, c, B):
+    """The problem with the rows |x_j| <= B added."""
+    A, D = np.atleast_2d(A), np.atleast_2d(D)
+    n = A.shape[1]
+    eye = np.eye(n)
+    return AvlpProblem(
+        np.vstack([A, eye, -eye]),
+        np.vstack([D, np.zeros((2 * n, n))]),
+        np.concatenate([np.ravel(b), np.full(2 * n, float(B))]),
+        c,
+    )
 
 
 def set_partitioning(a):
@@ -137,3 +154,87 @@ class TestVertexCandidacy:
     def test_infeasible_point_rejected(self):
         with pytest.raises(ValueError):
             vertex_candidacy(manhattan_ball(), np.array([2.0, 2.0]))
+
+
+class TestSignTree:
+    def test_agrees_with_oracle_on_boxed_instances(self):
+        rng = np.random.default_rng(7)
+        statuses = []
+        while len(statuses) < 100:
+            A, D, b, c = random_integer_instance(rng)
+            if not nonzero_columns(D):
+                continue  # one orthant: nothing to branch on
+            p = boxed(A, D, b, c, int(rng.integers(1, 4)))
+            status, value = oracle_solve(p.A, p.D, p.b, p.c)
+            rep = solve_exact(p)
+            assert rep.nodes_solved > 0 and rep.orthants_solved == 0
+            assert rep.status == status
+            if status == "optimal":
+                assert rep.f_star == pytest.approx(float(value), rel=1e-9, abs=1e-9)
+                assert membership(p, rep.x_star)[0]
+            statuses.append(status)
+        assert "infeasible" in statuses
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_enumeration_on_dense_boxed_instances(self, n):
+        rng = np.random.default_rng(n)
+        statuses = set()
+        for _ in range(8):
+            m = 2 * n
+            p = boxed(rng.normal(size=(m, n)), 0.3 * np.abs(rng.normal(size=(m, n))),
+                      rng.uniform(-6.0, 2.0, size=m), rng.normal(size=n), 5.0)
+            tree, sweep = solve_exact(p), exact._sweep(p)
+            assert tree.nodes_solved > 0 and sweep.orthants_solved == 2**n
+            assert tree.status == sweep.status
+            if sweep.status == SolveStatus.OPTIMAL:
+                assert tree.f_star == pytest.approx(sweep.f_star, rel=1e-9, abs=1e-9)
+            statuses.add(sweep.status)
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+    def test_every_node_may_beat_a_missing_incumbent(self):
+        # -inf + tol * (1 + inf) is NaN: unguarded, no node would beat it
+        assert exact._beats(-1e300, -math.inf)
+        assert exact._beats(1.0 + 1e-6, 1.0)
+        assert not exact._beats(1.0 + 1e-12, 1.0)
+
+    def test_infeasible_root(self):
+        # x <= 1 and x >= 2 leave the relaxation empty
+        p = AvlpProblem([[1.0], [-1.0], [0.0]], [[0.0], [0.0], [1.0]], [1.0, -2.0, 0.0], [1.0])
+        rep = solve_exact(p)
+        assert rep.status == SolveStatus.INFEASIBLE
+        assert (rep.nodes_solved, rep.orthants_solved) == (1, 0)
+
+    def test_unbounded_relaxation_falls_back_to_enumeration(self):
+        for p, orthants in ((manhattan_ball(), 4), (AvlpProblem([[1.0]], [[2.0]], [0.0], [1.0]), 2)):
+            rep = solve_exact(p)
+            assert (rep.nodes_solved, rep.orthants_solved) == (0, orthants)
+
+    def test_witness_is_smallest_orthant_containing_the_optimum(self):
+        p = manhattan_ball()
+        rep = solve_exact(boxed(p.A, p.D, p.b, p.c, 1.0))
+        assert rep.nodes_solved > 0
+        assert rep.f_star == pytest.approx(1.0, abs=1e-9)
+        assert rep.x_star == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert rep.witness_sign.entries == (1, -1)
+
+    def test_witness_is_zero_on_zero_columns_of_d(self):
+        # x2 enters no absolute value; max x1 + x2 over |x1| >= 1, |x_j| <= 1
+        p = boxed([[0.0, 0.0]], [[1.0, 0.0]], [-1.0], [1.0, 1.0], 1.0)
+        rep = solve_exact(p)
+        assert rep.nodes_solved > 0
+        assert rep.f_star == pytest.approx(2.0, abs=1e-9)
+        assert rep.witness_sign.entries == (1, 0)
+
+    def test_node_names_itself_on_simplex_error(self, monkeypatch):
+        calls = []
+
+        def failing_node_lp(lp):
+            calls.append(lp)
+            if len(calls) > 4:  # the 2n bound LPs pass
+                raise SimplexError("simplex iteration limit exceeded")
+            return solve_lp(lp)
+
+        monkeypatch.setattr(exact, "solve_lp", failing_node_lp)
+        p = manhattan_ball()
+        with pytest.raises(SimplexError, match=r"node \(0, 0\): simplex iteration"):
+            solve_exact(boxed(p.A, p.D, p.b, p.c, 1.0))

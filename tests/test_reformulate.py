@@ -142,6 +142,15 @@ class TestUnion:
             for x in grid:
                 assert union_membership(enc, x) == u.contains(x)
 
+    def test_one_piece_and_two_pieces_share_a_tolerance(self):
+        # the one-piece encoding has no z columns; its single LP applies the
+        # same tolerance as the z-slice search of the two-piece encoding
+        x = [1.0 + 5e-9]
+        alone = union_to_avlp(UnionOfPolyhedra((interval(0, 1),)))
+        pair = union_to_avlp(UnionOfPolyhedra((interval(0, 1), interval(5, 6))))
+        assert alone.num_aux == 0 and pair.num_aux == 1
+        assert union_membership(alone, x) == union_membership(pair, x)
+
     def test_encoding_membership_agrees_with_union_membership(self):
         u = UnionOfPolyhedra((interval(0, 1), interval(2, 3)))
         enc = union_to_avlp(u)
