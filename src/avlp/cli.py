@@ -41,6 +41,8 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, stability.Interval):
         return {"lo": _fnum(obj.lo), "hi": _fnum(obj.hi)}
+    if isinstance(obj, stability.IntervalVector):
+        return [_jsonify(iv) for iv in obj]
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -110,14 +110,14 @@ def is_unimodular(M, budget: int = DEFAULT_BUDGET) -> UnimodularityResult:
     if count > budget:
         raise BudgetExceededError(f"{count} column subsets exceed budget {budget}")
     for subset in itertools.combinations(range(m), n):
-        sub = [[rows[i][j] for j in subset] for i in range(n)]
-        d = det_exact(sub)
+        rank, last = _bareiss([[row[j] for j in subset] for row in rows], skip_zero_columns=False)
+        d = last if rank == n else 0
         if d not in (-1, 0, 1):
             return UnimodularityResult(False, subset, d)
     return UnimodularityResult(True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralityReport:
     integral_for_all_b: bool
     witness_sign: tuple[int, ...] | None

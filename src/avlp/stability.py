@@ -6,6 +6,29 @@ certified, never refuted: both conditions are sufficient, and an
 unverified outcome is inconclusive.  Under a verified basis the optimal
 value comes from a single LP over the dual box and an optimal point is
 recovered through an explicit matrix in the family.
+
+Rounding model.  Enclosures and interval products run on midpoint-radius
+arrays (Rump, BIT 39, 1999) in IEEE double precision under the default
+round-to-nearest, with u = 2**-53 and eta = 2**-1074, the smallest
+subnormal.  No computed value is trusted, a point entry included:
+
+- One operation: the exact a + b, a - b, a * b or a / b of two floats
+  lies within one np.nextafter step of its rounded result (an underflow
+  errs by at most eta / 2).
+- A dot product of length k, summed in any order: the rounded result s
+  differs from the exact one by at most gamma_k |a|^T |b| + k eta, where
+  gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+  Algorithms, Thm 3.1, with the underflow term).  With S the rounded
+  value of |a|^T |b|, this is at most gamma_2k S + 2k eta, which
+  ``_dot_error`` evaluates upward.
+- A radius, a sum of k nonnegative products computed as r, is at most
+  r plus the same bound.
+
+Every lower bound is pushed down and every upper bound up with
+np.nextafter.  A bound that overflows widens its interval to the whole
+line.  The scalar ``Interval`` is the element type of the boxes; its own
+arithmetic widens by a few ulps and keeps the rounded result of two
+points, so the array code does not use it.
 """
 
 from __future__ import annotations
@@ -110,15 +133,93 @@ class Interval:
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+_U = 2.0**-53
+_ETA = 2.0**-1074
 
-    def inflate(self, eps: float) -> "Interval":
-        pad = eps * (1.0 + self.mag)
-        return Interval(self.lo - pad, self.hi + pad)
+
+def _next_down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _next_up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _dot_error(S, k: int):
+    """Upper bound on the rounding error of a dot product of length k
+    whose computed |a|^T |b| is S: gamma_2k S + 2k eta, rounded up."""
+    gamma = math.nextafter(2 * k * _U / math.nextafter(1.0 - 2 * k * _U, 0.0), math.inf)
+    return _next_up(_next_up(gamma * S) + 2 * k * _ETA)
+
+
+def _midrad(lo, hi):
+    """Midpoint and radius whose interval [mid - rad, mid + rad] covers [lo, hi]."""
+    mid = 0.5 * lo + 0.5 * hi
+    return mid, _next_up(np.maximum(hi - mid, mid - lo))
+
+
+def _mr_matvec(Am, Ar, xm, xr):
+    """Bounds (lo, hi) of A x over |A - Am| <= Ar and |x - xm| <= xr.
+
+    Exactly, A x lies in <Am xm, |Am| xr + Ar (|xm| + xr)> (Rump 1999); the
+    centre and the radius are rounded and bounded by the dot-product rule.
+    """
+    k = Am.shape[-1]
+    absAm = np.abs(Am)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = Am @ xm
+        rad = absAm @ xr + Ar @ _next_up(np.abs(xm) + xr)
+        rad = _next_up(_next_up(rad + _dot_error(rad, 2 * k)) + _dot_error(absAm @ np.abs(xm), k))
+        lo, hi = _next_down(centre - rad), _next_up(centre + rad)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not np.all(finite):
+        lo, hi = np.where(finite, lo, -np.inf), np.where(finite, hi, np.inf)
+    return lo, hi
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class IntervalVector:
+    """Box of n intervals held as one read-only (2, n) array: lower bounds
+    in row 0, upper bounds in row 1.  Its length, indexing and iteration
+    yield ``Interval`` objects."""
+
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        bounds = np.array(self.bounds, dtype=float)
+        if bounds.ndim != 2 or bounds.shape[0] != 2:
+            raise ValueError(f"bounds must have shape (2, n), got {bounds.shape}")
+        if not np.all(bounds[0] <= bounds[1]):
+            raise ValueError("empty interval in box")
+        bounds.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
+
+    @classmethod
+    def of(cls, box) -> "IntervalVector":
+        """The box itself, or the box of a sequence of ``Interval``s."""
+        if isinstance(box, cls):
+            return box
+        box = list(box)
+        return cls(np.array([[iv.lo for iv in box], [iv.hi for iv in box]]).reshape(2, len(box)))
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.bounds[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.bounds[1]
+
+    def __len__(self) -> int:
+        return self.bounds.shape[1]
+
+    def __getitem__(self, i: int) -> Interval:
+        lo, hi = self.bounds[:, i].tolist()
+        return Interval(lo, hi)
+
+    def __iter__(self):
+        return (Interval(lo, hi) for lo, hi in self.bounds.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -142,12 +243,6 @@ class IntervalMatrix:
     def shape(self):
         return self.mid.shape
 
-    def entry(self, i: int, j: int) -> Interval:
-        m, r = self.mid[i, j], self.rad[i, j]
-        if r == 0.0:
-            return Interval.point(m)
-        return Interval(m - r, m + r)
-
     @property
     def T(self) -> "IntervalMatrix":
         return IntervalMatrix(self.mid.T, self.rad.T)
@@ -157,44 +252,51 @@ class IntervalMatrix:
         return bool(np.all(np.abs(M - self.mid) <= self.rad + tol))
 
 
-def interval_matvec(M: IntervalMatrix, box: list[Interval]) -> list[Interval]:
-    """Interval product of a matrix family with a box of intervals."""
+def interval_matvec(M: IntervalMatrix, box) -> IntervalVector:
+    """Interval product of a matrix family with a box (an ``IntervalVector``
+    or a sequence of ``Interval``s)."""
+    box = IntervalVector.of(box)
     m, n = M.shape
     if len(box) != n:
         raise ValueError(f"box has length {len(box)}, expected {n}")
-    out = []
-    for i in range(m):
-        acc = Interval.point(0.0)
-        for j in range(n):
-            acc = acc + M.entry(i, j) * box[j]
-        out.append(acc)
-    return out
+    return IntervalVector(np.stack(_mr_matvec(M.mid, M.rad, *_midrad(box.lo, box.hi))))
 
 
 class EnclosureError(RuntimeError):
     pass
 
 
+def _inflate(lo, hi, eps: float):
+    pad = eps * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    return lo - pad, hi + pad
+
+
 def enclose_solutions(
     M: IntervalMatrix, rhs, refine: bool = True, max_sweeps: int = 20
-) -> list[Interval]:
+) -> IntervalVector:
     """Box guaranteed to contain every solution of Ax = rhs over A in M.
 
     Preconditions by the midpoint inverse C, bounds the solution spread by
     a Neumann-type estimate, then certifies the result with a Krawczyk
-    containment test (epsilon-inflated) and optionally tightens it with
-    interval Gauss-Seidel sweeps.  Raises EnclosureError when the
-    preconditioned radius is too large or certification fails.
+    containment test (epsilon-inflated): the Krawczyk box must lie in the
+    interior of the trial box, which also proves every matrix in M
+    nonsingular.  Optionally tightens it with interval Gauss-Seidel sweeps.
+    Raises EnclosureError when the preconditioned radius is too large or
+    certification fails.
     """
     rhs = np.asarray(rhs, dtype=float).ravel()
     n = M.shape[0]
     if M.shape[0] != M.shape[1] or rhs.shape[0] != n:
         raise ValueError("need a square system with a matching right-hand side")
+    Am, Ar = M.mid, M.rad
+    if not (np.all(np.isfinite(Am)) and np.all(np.isfinite(Ar)) and np.all(np.isfinite(rhs))):
+        raise EnclosureError("non-finite data")
     try:
-        C = np.linalg.inv(M.mid)
+        C = np.linalg.inv(Am)
     except np.linalg.LinAlgError as exc:
         raise EnclosureError("midpoint matrix is singular") from exc
-    R = np.abs(C) @ M.rad
+    absC = np.abs(C)
+    R = absC @ Ar
     # rough spectral bound: if ||R|| >= 1 the preconditioned family may
     # contain singular matrices and no finite enclosure exists this way
     norm = np.linalg.norm(R, ord=np.inf)
@@ -204,79 +306,82 @@ def enclose_solutions(
             f"preconditioned radius spectral bound {eigbound:.6g} >= 1"
         )
     x_mid = C @ rhs
-    # interval evaluation of z = C (rhs - [A] x_mid)
-    z = []
-    for i in range(n):
-        acc = Interval.point(0.0)
-        for j in range(n):
-            resid = Interval.point(rhs[j]) - interval_matvec(
-                IntervalMatrix(M.mid[j : j + 1, :], M.rad[j : j + 1, :]),
-                [Interval.point(v) for v in x_mid],
-            )[0]
-            acc = acc + Interval.point(C[i, j]) * resid
-        z.append(acc)
-    Gmag = np.abs(np.eye(n) - C @ M.mid) + R
+    # z = C (rhs - [A] x_mid), and x_mid + z
+    ax_lo, ax_hi = _mr_matvec(Am, Ar, x_mid, np.zeros(n))
+    resid = _midrad(_next_down(rhs - ax_hi), _next_up(rhs - ax_lo))
+    z_lo, z_hi = _mr_matvec(C, np.zeros((n, n)), *resid)
+    xz_lo, xz_hi = _next_down(x_mid + z_lo), _next_up(x_mid + z_hi)
+    # G = I - C [A] as midpoint and radius
+    eye = np.eye(n)
+    G_mid = eye - C @ Am
+    G_rad = _next_up(_next_up(R + _dot_error(R, n)) + _dot_error(eye + absC @ np.abs(Am), n + 1))
+
+    Gmag = np.abs(G_mid) + R
     try:
-        spread = np.linalg.solve(np.eye(n) - Gmag, np.array([iv.mag for iv in z]))
+        spread = np.linalg.solve(eye - Gmag, np.maximum(np.abs(z_lo), np.abs(z_hi)))
     except np.linalg.LinAlgError as exc:
         raise EnclosureError("spread system singular") from exc
     spread = np.abs(spread) * (1.0 + 1e-10) + 1e-300
-    box = [
-        Interval(_down(x_mid[i] - spread[i]), _up(x_mid[i] + spread[i]))
-        for i in range(n)
-    ]
+    lo, hi = _next_down(x_mid - spread), _next_up(x_mid + spread)
 
-    def krawczyk(X: list[Interval]) -> list[Interval]:
-        out = []
-        for i in range(n):
-            acc = z[i]
-            for j in range(n):
-                g = Interval.point(1.0 if i == j else 0.0)
-                for k in range(n):
-                    g = g - Interval.point(C[i, k]) * M.entry(k, j)
-                acc = acc + g * (X[j] - Interval.point(x_mid[j]))
-            out.append(Interval.point(x_mid[i]) + acc)
-        return out
-
+    # K(X) = x_mid + z + G (X - x_mid)
     certified = False
     for _ in range(10):
-        inflated = [iv.inflate(1e-12) for iv in box]
-        K = krawczyk(inflated)
-        if all(K[i].subset_of(inflated[i]) for i in range(n)):
-            box = [K[i].intersect(inflated[i]) for i in range(n)]
+        X_lo, X_hi = _inflate(lo, hi, 1e-12)
+        d = _midrad(_next_down(X_lo - x_mid), _next_up(X_hi - x_mid))
+        g_lo, g_hi = _mr_matvec(G_mid, G_rad, *d)
+        K_lo, K_hi = _next_down(xz_lo + g_lo), _next_up(xz_hi + g_hi)
+        if np.all(X_lo < K_lo) and np.all(K_hi < X_hi):
+            lo, hi = K_lo, K_hi
             certified = True
             break
-        box = [iv.inflate(1e-8) for iv in box]
+        lo, hi = _inflate(lo, hi, 1e-8)
     if not certified:
         raise EnclosureError("containment certification failed")
 
     if refine:
-        for _ in range(max_sweeps):
-            changed = False
-            for i in range(n):
-                acc = Interval.point(rhs[i])
-                for j in range(n):
-                    if j != i:
-                        acc = acc - M.entry(i, j) * box[j]
-                piv = M.entry(i, i)
-                if piv.lo <= 0.0 <= piv.hi:
-                    continue
-                new = (acc / piv).intersect(box[i])
-                if new.lo > box[i].lo + 1e-15 or new.hi < box[i].hi - 1e-15:
-                    changed = True
-                box[i] = new
-            if not changed:
-                break
-    return box
+        lo, hi = _gauss_seidel(Am, Ar, rhs, lo, hi, max_sweeps)
+    return IntervalVector(np.stack([lo, hi]))
 
 
-@dataclass(frozen=True)
+def _gauss_seidel(Am, Ar, rhs, lo, hi, max_sweeps):
+    """Interval Gauss-Seidel sweeps x_i <- (rhs_i - sum_{j != i} A_ij x_j)
+    / A_ii intersected with x_i, until no bound moves by more than 1e-15."""
+    n = len(rhs)
+    off_mid, off_rad = Am.copy(), Ar.copy()
+    np.fill_diagonal(off_mid, 0.0)
+    np.fill_diagonal(off_rad, 0.0)
+    piv_lo = _next_down(np.diag(Am) - np.diag(Ar)).tolist()
+    piv_hi = _next_up(np.diag(Am) + np.diag(Ar)).tolist()
+    lo, hi = lo.copy(), hi.copy()
+    down, up = -math.inf, math.inf
+    for _ in range(max_sweeps):
+        changed = False
+        for i in range(n):
+            p_lo, p_hi = piv_lo[i], piv_hi[i]
+            if p_lo <= 0.0 <= p_hi:
+                continue
+            s_lo, s_hi = _mr_matvec(off_mid[i], off_rad[i], *_midrad(lo, hi))
+            a_lo = math.nextafter(rhs[i] - s_hi, down)
+            a_hi = math.nextafter(rhs[i] - s_lo, up)
+            quots = (a_lo / p_lo, a_lo / p_hi, a_hi / p_lo, a_hi / p_hi)
+            new_lo = max(math.nextafter(min(quots), down), lo[i])
+            new_hi = min(math.nextafter(max(quots), up), hi[i])
+            if new_lo > lo[i] + 1e-15 or new_hi < hi[i] - 1e-15:
+                changed = True
+            lo[i], hi[i] = new_lo, new_hi
+        if not changed:
+            break
+    return lo, hi
+
+
+@dataclass(frozen=True, slots=True)
 class StabilityReport:
     basis: tuple[int, ...]
     condition1_verified: bool
     condition2_verified: bool
-    y_box: list[Interval] | None = None
-    x_box: list[Interval] | None = None
+    y_box: IntervalVector | None = None
+    x_box: IntervalVector | None = None
     f_star: float | None = None
     x_star: np.ndarray | None = None
     reason: str | None = None
@@ -329,7 +434,7 @@ def basis_stability_check(p: AvlpProblem, B=None) -> StabilityReport:
         y_box = enclose_solutions(fam.T, p.c)
     except EnclosureError as exc:
         return StabilityReport(B, False, False, reason=f"dual enclosure: {exc}")
-    cond1 = all(iv.lo >= 0.0 for iv in y_box)
+    cond1 = bool(np.all(y_box.lo >= 0.0))
     try:
         x_box = enclose_solutions(fam, p.b[list(B)])
     except EnclosureError as exc:
@@ -337,8 +442,7 @@ def basis_stability_check(p: AvlpProblem, B=None) -> StabilityReport:
     cond2 = True
     if N:
         fam_N = IntervalMatrix(p.A[N, :], p.D[N, :])
-        z = interval_matvec(fam_N, x_box)
-        cond2 = all(z[i].hi <= p.b[N[i]] for i in range(len(N)))
+        cond2 = bool(np.all(interval_matvec(fam_N, x_box).hi <= p.b[N]))
     report = StabilityReport(B, cond1, cond2, y_box=y_box, x_box=x_box)
     if report.verified:
         f_star, y_star = stable_optimal_value(p, B)

@@ -360,6 +360,21 @@ class TestStability:
         rep = json.loads(capsys.readouterr().out)
         assert rep["condition1_verified"] is False
 
+    def test_boxes_print_as_lo_hi_objects(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "s.json",
+            {"n": 2, "m": 4, "A": [2, 0.1, 0.2, 2, 1, 1, -1, 0],
+             "D": [0.01] * 8, "b": [1, 1, 3, 1], "c": [1, 1]},
+        )
+        assert cli.main(["stability", path]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verified"] is True
+        for key in ("y_box", "x_box"):
+            assert len(rep[key]) == 2
+            for iv in rep[key]:
+                assert list(iv) == ["lo", "hi"]
+                assert iv["lo"] <= iv["hi"]
+
     @pytest.mark.parametrize("basis", ["5", "-1", "0,1", "x"])
     def test_bad_basis_flag_is_named(self, tmp_path, capsys, basis):
         path = write(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,25 @@ class TestIsUnimodular:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             is_unimodular(np.ones((3, 30), dtype=int), budget=10)
+
+    def test_witness_matches_det_exact_over_subsets(self):
+        # reference: det_exact on every column subset, in order
+        rng = np.random.default_rng(11)
+        bad = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            M = rng.integers(-2, 3, size=(n, int(rng.integers(n, n + 4))))
+            want = next(
+                ((sub, d) for sub in itertools.combinations(range(M.shape[1]), n)
+                 if (d := det_exact(M[:, list(sub)])) not in (-1, 0, 1)),
+                None,
+            )
+            res = is_unimodular(M)
+            assert res.unimodular == (want is None)
+            if want is not None:
+                bad += 1
+                assert (res.bad_subset, res.bad_det) == want
+        assert bad >= 50
 
 
 class TestIntegralityFull:

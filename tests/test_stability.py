@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from avlp.stability import (
     EnclosureError,
     Interval,
     IntervalMatrix,
+    IntervalVector,
     basis_stability_check,
     default_basis,
     enclose_solutions,
@@ -16,6 +19,8 @@ from avlp.stability import (
     recover_x_star,
     stable_optimal_value,
 )
+
+from .oracles import _solve_square
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -79,6 +84,45 @@ class TestIntervalMatrix:
         assert M.contains_matrix([[2.9]])
         assert not M.contains_matrix([[3.1]])
 
+    def test_matvec_of_points_is_not_trusted(self):
+        # 1e16 + 1 - 1e16 rounds to 0; the true value is 1
+        M = IntervalMatrix([[1.0, 1.0, -1.0]], np.zeros((1, 3)))
+        out = interval_matvec(M, [Interval.point(1e16), Interval.point(1.0), Interval.point(1e16)])
+        assert out[0].lo <= 1.0 <= out[0].hi
+
+    def test_matvec_overflow_widens_to_the_whole_line(self):
+        M = IntervalMatrix([[1e308, 1e308]], np.zeros((1, 2)))
+        out = interval_matvec(M, [Interval.point(10.0), Interval.point(10.0)])
+        assert out[0] == Interval(-np.inf, np.inf)
+
+
+class TestIntervalVector:
+    def test_len_index_and_iteration_yield_intervals(self):
+        box = IntervalVector(np.array([[0.0, -1.0, 2.0], [1.0, 1.0, 2.0]]))
+        assert len(box) == 3
+        assert box[1] == Interval(-1.0, 1.0)
+        assert box[-1] == Interval(2.0, 2.0)
+        assert list(box) == [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(2.0, 2.0)]
+        assert all(type(iv.lo) is float for iv in box)
+
+    def test_of_round_trips_a_sequence(self):
+        ivs = [Interval(0.0, 1.0), Interval(-2.0, 3.0)]
+        box = IntervalVector.of(ivs)
+        assert list(box) == ivs
+        assert IntervalVector.of(box) is box
+        assert np.array_equal(box.bounds, [[0.0, -2.0], [1.0, 3.0]])
+
+    def test_is_read_only(self):
+        box = IntervalVector.of([Interval(0.0, 1.0)])
+        with pytest.raises(ValueError):
+            box.lo[0] = -1.0
+
+    def test_rejects_empty_interval_and_bad_shape(self):
+        with pytest.raises(ValueError):
+            IntervalVector(np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError):
+            IntervalVector(np.zeros(3))
+
 
 class TestEnclosure:
     def test_point_system(self):
@@ -95,6 +139,10 @@ class TestEnclosure:
     def test_large_radius_fails(self):
         with pytest.raises(EnclosureError):
             enclose_solutions(IntervalMatrix(np.eye(2), 0.6 * np.ones((2, 2))), [1.0, 1.0])
+
+    def test_non_finite_data_fails(self):
+        with pytest.raises(EnclosureError):
+            enclose_solutions(IntervalMatrix([[2.0]], [[0.0]]), [np.inf])
 
     def test_singular_midpoint_fails(self):
         with pytest.raises(EnclosureError):
@@ -117,6 +165,27 @@ class TestEnclosure:
             x = np.linalg.solve(sampled, rhs)
             assert all(box[i].lo <= x[i] <= box[i].hi for i in range(n))
         assert tried >= 50
+
+    def test_point_families_contain_the_exact_solution(self):
+        # rad = 0: the box must hold the solution of the float data itself,
+        # compared exactly over the rationals
+        rng = np.random.default_rng(2024)
+        certified = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            cond = 10.0 ** rng.uniform(2, 9)
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A = U @ np.diag(np.logspace(0, -np.log10(cond), n)) @ V.T
+            rhs = rng.normal(size=n)
+            try:
+                box = enclose_solutions(IntervalMatrix(A, np.zeros((n, n))), rhs)
+            except EnclosureError:
+                continue
+            certified += 1
+            x = _solve_square(A.tolist(), rhs.tolist())
+            assert all(Fraction(iv.lo) <= xi <= Fraction(iv.hi) for iv, xi in zip(box, x))
+        assert certified >= 180
 
 
 def one_var_fixture():
@@ -146,6 +215,23 @@ class TestBasisStability:
         rep = basis_stability_check(p, B=(0,))
         assert not rep.verified
         assert rep.reason is not None
+
+    def test_report_boxes_are_interval_vectors_of_length_n(self):
+        p = AvlpProblem(
+            [[2.0, 0.1], [0.2, 2.0], [1.0, 1.0], [-1.0, 0.0]],
+            0.01 * np.ones((4, 2)),
+            [1.0, 1.0, 3.0, 1.0],
+            [1.0, 1.0],
+        )
+        rep = basis_stability_check(p)
+        assert rep.verified and rep.basis == (0, 1)
+        for box in (rep.y_box, rep.x_box):
+            assert isinstance(box, IntervalVector)
+            assert len(box) == 2
+            assert all(isinstance(iv, Interval) for iv in box)
+            assert [box[i] for i in range(2)] == list(box)
+        assert all(iv.lo >= 0.0 for iv in rep.y_box)
+        assert all(iv.contains(v) for iv, v in zip(rep.x_box, rep.x_star))
 
     def test_wrong_basis_fails_condition1(self):
         rep = basis_stability_check(one_var_fixture(), B=(1,))
