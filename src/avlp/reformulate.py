@@ -54,23 +54,31 @@ class Encoding:
         return sum(len(r.indices) for r in self.aux_vars)
 
 
-def encoding_membership(enc: Encoding, x, tol: float = 1e-7) -> bool:
-    """Projected membership: does some auxiliary completion of x satisfy
-    the encoded system?  Decided by fixing the original variables with
-    equality rows and running the orthant enumeration feasibility check."""
-    x = np.asarray(x, dtype=float).ravel()
+def _slice_membership(enc: Encoding, x) -> bool:
+    """Whether some auxiliary completion z of x satisfies the encoded
+    system: a search of the sign orthants of the slice at x,
+    A_aux z - D_aux |z| <= b - A_orig x + D_orig |x|, for a feasible z.
+    With no auxiliary variables the slice has no columns and its one LP
+    checks the rows."""
     p = enc.problem
-    k = len(enc.original_vars)
-    if x.shape[0] != k:
-        raise ReformulationError(f"point has length {x.shape[0]}, expected {k}")
-    sel = np.zeros((k, p.n))
-    for r, j in enumerate(enc.original_vars):
-        sel[r, j] = 1.0
-    A = np.vstack([p.A, sel, -sel])
-    D = np.vstack([p.D, np.zeros((2 * k, p.n))])
-    b = np.concatenate([p.b, x + tol, -x + tol])
-    fixed = AvlpProblem(A, D, b, np.zeros(p.n))
-    return find_feasible_point(fixed) is not None
+    orig = list(enc.original_vars)
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != len(orig):
+        raise ReformulationError(f"point has length {x.shape[0]}, expected {len(orig)}")
+    aux = np.ones(p.n, dtype=bool)
+    aux[orig] = False
+    rhs = p.b - p.A[:, orig] @ x + p.D[:, orig] @ np.abs(x)
+    z_slice = AvlpProblem(p.A[:, aux], p.D[:, aux], rhs, np.zeros(np.count_nonzero(aux)))
+    return find_feasible_point(z_slice) is not None
+
+
+def encoding_membership(enc: Encoding, x) -> bool:
+    """Projected membership: does some auxiliary completion of x satisfy
+    the encoded system?  Decided by searching the slice at x.
+    ``union_membership`` runs the same search; the two stay separate
+    functions so that a tracer or profiler that wraps functions tells the
+    two queries apart."""
+    return _slice_membership(enc, x)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +408,10 @@ def union_to_avlp(u: UnionOfPolyhedra) -> Encoding:
 
 
 def union_membership(enc: Encoding, x) -> bool:
-    """Decide whether some z completes x in a union encoding by searching
-    the 2^k sign orthants of the z-slice A_z z - D_z |z| <= b - A_x x.
-    With k = 0 the slice has no columns and its one LP checks the rows."""
-    p = enc.problem
-    n = len(enc.original_vars)
-    x = np.asarray(x, dtype=float).ravel()
-    Ax = p.A[:, :n] @ x
-    z_slice = AvlpProblem(p.A[:, n:], p.D[:, n:], p.b - Ax, np.zeros(p.n - n))
-    return find_feasible_point(z_slice) is not None
+    """Whether x lies in the union a ``union_to_avlp`` encoding describes:
+    the search of ``encoding_membership``, over the 2^k sign orthants of
+    the z-slice A_z z - D_z |z| <= b - A_x x (D vanishes on x)."""
+    return _slice_membership(enc, x)
 
 
 # ---------------------------------------------------------------------------

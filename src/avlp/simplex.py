@@ -5,6 +5,13 @@ variables.  Internally the problem is converted to equality standard form
 by splitting ``x = u - v`` and adding slacks.  Outcomes carry verifiable
 certificates: a ray for unbounded problems and a Farkas vector for
 infeasible ones.
+
+Rows of G with no nonzero entry are decided before the tableau is built
+(the empty-row rule of LP presolve, Andersen & Andersen, Math. Prog. 71,
+1995): such a row reads 0 <= h_i, so the LP is infeasible, with Farkas
+vector e_i, as soon as one has h_i < -FEAS_TOL * (1 + |h_i|); otherwise
+those rows are dropped and the rest is solved.  An LP without columns is
+all empty rows.
 """
 
 from __future__ import annotations
@@ -118,25 +125,36 @@ def _iterate(T, red, basis, bland_after: int, max_iters: int):
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve an inequality-form LP, returning status plus certificate.
 
+    Rows of G with no nonzero entry are decided first: if one has
+    h_i < -FEAS_TOL * (1 + |h_i|), the first such row gives the Farkas
+    vector e_i and no tableau is built; otherwise they are dropped, and a
+    Farkas vector of the remaining rows is returned with zeros on them.
+
     Deterministic: Dantzig pricing with a switch to Bland's rule after
     2*(k+d) consecutive degenerate pivots.  Phase 1 starts from a crash
     basis: the slack of every row with h_i >= 0 and the artificial of
     every other row, so with h >= 0 phase 1 takes no pivot.
     """
     G, h, obj = lp.G, lp.h, lp.obj
-    k, d = G.shape
+    k_all, d = G.shape
+
+    kept = None
+    empty = ~G.any(axis=1)
+    if empty.any():
+        violated = np.flatnonzero(empty & (h < -FEAS_TOL * (1.0 + np.abs(h))))
+        if violated.size:
+            y = np.zeros(k_all)
+            y[violated[0]] = 1.0
+            return LpOutcome(LpStatus.INFEASIBLE, farkas=y)
+        kept = np.flatnonzero(~empty)
+        G, h = G[kept], h[kept]
+    k = G.shape[0]
 
     if k == 0:
         if np.all(obj == 0.0):
             return LpOutcome(LpStatus.OPTIMAL, x=np.zeros(d), value=0.0)
         ray = np.sign(obj)
         return LpOutcome(LpStatus.UNBOUNDED, ray=ray)
-    if d == 0:
-        if np.all(h >= -FEAS_TOL * (1.0 + np.abs(h))):
-            return LpOutcome(LpStatus.OPTIMAL, x=np.zeros(0), value=0.0)
-        y = np.zeros(k)
-        y[int(np.argmin(h))] = 1.0
-        return LpOutcome(LpStatus.INFEASIBLE, farkas=y)
 
     # standard form [G, -G, I] z = h, z >= 0
     N = 2 * d + k
@@ -168,6 +186,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         y = 1.0 - red[N : N + k]
         p = np.where(flip, -y, y)
         farkas = np.clip(-p, 0.0, None)
+        if kept is not None:
+            full = np.zeros(k_all)
+            full[kept] = farkas
+            farkas = full
         return LpOutcome(LpStatus.INFEASIBLE, farkas=farkas)
 
     # drive leftover artificials out of the basis

@@ -27,8 +27,8 @@ subnormal.  No computed value is trusted, a point entry included:
 Every lower bound is pushed down and every upper bound up with
 np.nextafter.  A bound that overflows widens its interval to the whole
 line.  The scalar ``Interval`` is the element type of the boxes; its own
-arithmetic widens by a few ulps and keeps the rounded result of two
-points, so the array code does not use it.
+arithmetic widens every rounded bound by a few ulps, points included, and
+the array code does not use it.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def _up(x: float) -> float:
 class Interval:
     """Closed interval with outward-widened arithmetic.
 
-    Every operation widens its result by a few ulps in both directions to
-    absorb rounding, except when both operands are points: the product or
-    sum of degenerate intervals is the exact floating-point result.
+    Every operation widens its rounded bounds by a few ulps in both
+    directions, points included, so the result encloses the exact sum,
+    difference, product or quotient of any members of the operands.
     """
 
     lo: float
@@ -93,14 +93,8 @@ class Interval:
     def mag(self) -> float:
         return max(abs(self.lo), abs(self.hi))
 
-    def _wrap(self, lo: float, hi: float, exact: bool) -> "Interval":
-        if exact:
-            return Interval(lo, hi)
-        return Interval(_down(lo), _up(hi))
-
     def __add__(self, other: "Interval") -> "Interval":
-        exact = self.is_point and other.is_point
-        return self._wrap(self.lo + other.lo, self.hi + other.hi, exact)
+        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
@@ -109,26 +103,24 @@ class Interval:
         return self + (-other)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        exact = self.is_point and other.is_point
         prods = (
             self.lo * other.lo,
             self.lo * other.hi,
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return self._wrap(min(prods), max(prods), exact)
+        return Interval(_down(min(prods)), _up(max(prods)))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if other.lo <= 0.0 <= other.hi:
             raise ZeroDivisionError("interval divisor contains zero")
-        exact = self.is_point and other.is_point
         quots = (
             self.lo / other.lo,
             self.lo / other.hi,
             self.hi / other.lo,
             self.hi / other.hi,
         )
-        return self._wrap(min(quots), max(quots), exact)
+        return Interval(_down(min(quots)), _up(max(quots)))
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from avlp import exact
+from avlp import exact, simplex
 from avlp.core import SignVector, membership
 from avlp.exact import SolveStatus, solve_exact
 from avlp.reformulate import (
@@ -99,6 +99,19 @@ class TestDisjunctionEquations:
             disjunction_eq_to_avlp([([1.0], 0.0)], [([1.0], 0.0)], 1, mode="x")
 
 
+def record_posed_lps(monkeypatch):
+    """Patch ``exact.solve_lp`` to record every LP it solves; returns the
+    list the LPs are appended to."""
+    posed = []
+
+    def recording_solve_lp(lp):
+        posed.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(exact, "solve_lp", recording_solve_lp)
+    return posed
+
+
 def interval(lo, hi):
     return Polyhedron([[1.0], [-1.0]], [hi, -lo])
 
@@ -142,14 +155,19 @@ class TestUnion:
             for x in grid:
                 assert union_membership(enc, x) == u.contains(x)
 
-    def test_one_piece_and_two_pieces_share_a_tolerance(self):
-        # the one-piece encoding has no z columns; its single LP applies the
-        # same tolerance as the z-slice search of the two-piece encoding
-        x = [1.0 + 5e-9]
+    @pytest.mark.parametrize("offset", [5e-9, 2e-8, 5e-8])
+    def test_one_piece_and_two_pieces_share_a_tolerance(self, offset):
+        # the one-piece encoding has no z columns and the piece's rows lose
+        # their z columns in the orthant that selects it, so every query
+        # decides x <= 1 as the same empty row 0 <= -offset
+        x = [1.0 + offset]
         alone = union_to_avlp(UnionOfPolyhedra((interval(0, 1),)))
         pair = union_to_avlp(UnionOfPolyhedra((interval(0, 1), interval(5, 6))))
         assert alone.num_aux == 0 and pair.num_aux == 1
-        assert union_membership(alone, x) == union_membership(pair, x)
+        verdict = union_membership(alone, x)
+        assert union_membership(pair, x) == verdict
+        assert encoding_membership(alone, x) == verdict
+        assert encoding_membership(pair, x) == verdict
 
     def test_encoding_membership_agrees_with_union_membership(self):
         u = UnionOfPolyhedra((interval(0, 1), interval(2, 3)))
@@ -160,13 +178,7 @@ class TestUnion:
     def test_union_membership_searches_z_orthants_in_sign_order(self, monkeypatch):
         u = UnionOfPolyhedra((interval(0, 1), interval(2, 3), interval(4, 5)))
         enc = union_to_avlp(u)
-        posed = []
-
-        def recording_solve_lp(lp):
-            posed.append(lp)
-            return solve_lp(lp)
-
-        monkeypatch.setattr(exact, "solve_lp", recording_solve_lp)
+        posed = record_posed_lps(monkeypatch)
         x = np.array([3.5])  # in no piece, so every z orthant is searched
         assert not union_membership(enc, x)
         Az, Dz = enc.problem.A[:, 1:], enc.problem.D[:, 1:]
@@ -178,6 +190,49 @@ class TestUnion:
             h = np.concatenate([enc.problem.b - enc.problem.A[:, :1] @ x, [0.0, 0.0]])
             assert np.array_equal(lp.h, h)
             assert not lp.obj.any()
+
+    @pytest.mark.parametrize("query", [union_membership, encoding_membership])
+    def test_outside_query_decides_every_orthant_without_pivot(self, monkeypatch, query):
+        def no_pivot(*args):
+            raise AssertionError("unexpected pivot")
+
+        monkeypatch.setattr(simplex, "_pivot", no_pivot)
+        posed = record_posed_lps(monkeypatch)
+        boxes = tuple(
+            Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [3 * i + 1, 3 * j + 1, -3 * i, -3 * j])
+            for i in range(4)
+            for j in range(4)
+        )
+        enc = union_to_avlp(UnionOfPolyhedra(boxes))
+        assert enc.num_aux == 4
+        assert not query(enc, [4.5, 1.5])
+        assert len(posed) == 16
+
+    def test_encoding_membership_poses_the_union_slice(self, monkeypatch):
+        enc = union_to_avlp(
+            UnionOfPolyhedra((interval(0, 1), interval(2, 3), interval(4, 5)))
+        )
+        posed = []
+        for query in (union_membership, encoding_membership):
+            posed.append(record_posed_lps(monkeypatch))
+            for x in (0.5, 3.5, 4.5):
+                query(enc, [x])
+        union_lps, encoding_lps = posed
+        assert len(union_lps) == len(encoding_lps) > 0
+        for a, b in zip(union_lps, encoding_lps):
+            assert np.array_equal(a.G, b.G) and np.array_equal(a.h, b.h)
+
+    def test_encoding_membership_with_abs_of_original_variables(self):
+        # an orthant-convex encoding has |x| in its rows and no auxiliary
+        # variable, so its slice at x has no columns
+        pieces = [
+            (SignVector((s1, s2)), [(np.array([s1, s2], dtype=float), 1.0)])
+            for s1 in (1, -1)
+            for s2 in (1, -1)
+        ]
+        enc, _ = orthant_convex_to_avlp(pieces)
+        for x in itertools.product(np.linspace(-1.5, 1.5, 13), repeat=2):
+            assert encoding_membership(enc, x) == membership(enc.problem, np.array(x))[0], x
 
     @pytest.mark.parametrize("query", [union_membership, encoding_membership])
     def test_membership_names_orthant_on_simplex_error(self, monkeypatch, query):

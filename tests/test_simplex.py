@@ -76,6 +76,67 @@ def test_zero_objective_with_nonnegative_h_needs_no_pivot(monkeypatch):
     assert np.array_equal(out.x, np.zeros(4))
 
 
+def assert_farkas(y, G, h):
+    y = y / np.max(y)
+    assert np.all(y >= 0.0)
+    assert np.allclose(y @ G, 0.0, atol=1e-9)
+    assert y @ h < -1e-9
+
+
+def test_violated_empty_row_is_infeasible_without_pivot(monkeypatch):
+    # rows 1 and 3 read 0 <= -2 and 0 <= -5; row 2 alone would need a
+    # phase-1 pivot, so the verdict must come before the tableau
+    def no_pivot(*args):
+        raise AssertionError("unexpected pivot")
+
+    monkeypatch.setattr(simplex, "_pivot", no_pivot)
+    G = np.array([[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    h = np.array([4.0, -2.0, -1.0, -5.0])
+    out = solve_lp(LinearProgram(G, h, [1.0, 0.0]))
+    assert out.status is LpStatus.INFEASIBLE
+    assert np.array_equal(out.farkas, [0.0, 1.0, 0.0, 0.0])
+    assert_farkas(out.farkas, G, h)
+
+
+def test_lp_without_columns_checks_each_row():
+    ok = solve_lp(LinearProgram(np.zeros((3, 0)), [0.0, 2.0, -1e-9], np.zeros(0)))
+    assert ok.status is LpStatus.OPTIMAL and ok.x.shape == (0,)
+    bad = solve_lp(LinearProgram(np.zeros((3, 0)), [1.0, -1.0, -3.0], np.zeros(0)))
+    assert bad.status is LpStatus.INFEASIBLE
+    assert np.array_equal(bad.farkas, [0.0, 1.0, 0.0])
+
+
+def test_satisfied_empty_rows_change_nothing():
+    # inserting rows 0 <= h_i with h_i >= 0 leaves the verdict and value;
+    # a Farkas vector covers every row and is zero on the inserted ones
+    rng = np.random.default_rng(5)
+    counts = {status: 0 for status in LpStatus}
+    for _ in range(600):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 9))
+        G = rng.integers(-3, 4, size=(k, d)).astype(float)
+        h = rng.integers(-3, 4, size=k).astype(float)
+        c = rng.integers(-3, 4, size=d).astype(float)
+        zeros = int(rng.integers(1, 4))
+        rows = np.sort(rng.choice(k + zeros, size=zeros, replace=False))
+        others = np.setdiff1d(np.arange(k + zeros), rows)
+        Gz = np.zeros((k + zeros, d))
+        hz = np.zeros(k + zeros)
+        Gz[others], hz[others] = G, h
+        hz[rows] = rng.integers(0, 4, size=zeros)
+        base = solve_lp(LinearProgram(G, h, c))
+        padded = solve_lp(LinearProgram(Gz, hz, c))
+        counts[base.status] += 1
+        assert padded.status is base.status
+        if base.status is LpStatus.OPTIMAL:
+            assert padded.value == pytest.approx(base.value, abs=1e-9)
+        elif base.status is LpStatus.INFEASIBLE:
+            assert padded.farkas.shape == (k + zeros,)
+            assert np.all(padded.farkas[rows] == 0.0)
+            assert_farkas(padded.farkas, Gz, hz)
+    assert min(counts.values()) > 60, counts
+
+
 def test_certificates_on_random_mixed_sign_lps():
     rng = np.random.default_rng(11)
     counts = {status: 0 for status in LpStatus}
@@ -88,10 +149,7 @@ def test_certificates_on_random_mixed_sign_lps():
         out = solve_lp(LinearProgram(G, h, c))
         counts[out.status] += 1
         if out.status is LpStatus.INFEASIBLE:
-            y = out.farkas / np.max(out.farkas)
-            assert np.all(y >= 0.0)
-            assert np.allclose(y @ G, 0.0, atol=1e-9)
-            assert y @ h < -1e-9
+            assert_farkas(out.farkas, G, h)
         elif out.status is LpStatus.UNBOUNDED:
             r = out.ray
             assert np.all(G @ r <= 1e-9)

@@ -35,10 +35,19 @@ def realize(x, t):
 
 
 class TestInterval:
-    def test_point_ops_are_exact(self):
-        a, b = Interval.point(0.1), Interval.point(0.3)
-        assert (a * b).lo == 0.1 * 0.3 == (a * b).hi
-        assert (a + b).lo == 0.1 + 0.3 == (a + b).hi
+    @pytest.mark.parametrize(
+        "a, b, op, exact",
+        [
+            (1e16, 1.0, Interval.__add__, Fraction(1e16) + 1),
+            (0.1, 0.3, Interval.__mul__, Fraction(0.1) * Fraction(0.3)),
+            (1.0, 3.0, Interval.__truediv__, Fraction(1, 3)),
+        ],
+        ids=["add", "mul", "div"],
+    )
+    def test_point_ops_enclose_the_exact_result(self, a, b, op, exact):
+        out = op(Interval.point(a), Interval.point(b))
+        assert Fraction(out.lo) <= exact <= Fraction(out.hi)
+        assert out.lo < out.hi
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
