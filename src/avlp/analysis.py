@@ -11,9 +11,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import AvlpProblem, SignVector, orthant_restriction
+from .core import (
+    AvlpProblem,
+    RawProblem,
+    SignVector,
+    membership,
+    orthant_restriction,
+    split_relaxation,
+)
 from .exact import find_feasible_point, sign_vectors
-from .simplex import LinearProgram, solve_lp
+from .integrality import solve_rational
+from .simplex import solve_lp
 
 VERTEX_MAX_DIM = 4
 VERTEX_MAX_ROWS = 12
@@ -23,33 +31,11 @@ class SizeLimitError(ValueError):
     """Enumeration limits for the brute-force routines exceeded."""
 
 
-# ---------------------------------------------------------------------------
-# exact rational helpers
-
-
-def _solve_square_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Fractions; returns None when singular."""
-    d = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [v / inv for v in M[col]]
-        for r in range(d):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][d] for r in range(d)]
-
-
 def enumerate_vertices(G, h, tol: float = 1e-9) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """All vertices of {x : G x <= h} with their active row sets.
 
     Candidate points are the solutions of every nonsingular d-subset of
-    rows, solved in exact rational arithmetic, filtered by feasibility
+    rows, solved exactly by ``solve_rational``, filtered by feasibility
     (G x <= h + tol) and deduplicated.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -62,7 +48,7 @@ def enumerate_vertices(G, h, tol: float = 1e-9) -> list[tuple[np.ndarray, tuple[
     tolF = Fraction(tol)
     seen: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
     for S in itertools.combinations(range(k), d):
-        x = _solve_square_exact([GF[i] for i in S], [hF[i] for i in S])
+        x = solve_rational([GF[i] for i in S], [hF[i] for i in S])
         if x is None:
             continue
         vals = [sum(GF[i][j] * x[j] for j in range(d)) for i in range(k)]
@@ -108,14 +94,6 @@ class ConvexityVerdict:
     x2: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    boundedness: BoundednessVerdict | None = None
-    feasibility: FeasibilityVerdict | None = None
-    connectedness: ConnectednessVerdict | None = None
-    convexity: ConvexityVerdict | None = None
-
-
 # ---------------------------------------------------------------------------
 # analyzers
 
@@ -156,18 +134,11 @@ def feasible_for_all_b(p: AvlpProblem) -> FeasibilityVerdict:
 
 def connected_sufficient(p: AvlpProblem) -> ConnectednessVerdict:
     """Sufficient condition for connectedness of M:
-    solvability of (A+D)u - (A-D)v <= b with u, v >= 0."""
-    n = p.n
-    G = np.vstack(
-        [
-            np.hstack([p.A + p.D, -(p.A - p.D)]),
-            -np.eye(2 * n),
-        ]
-    )
-    h = np.concatenate([p.b, np.zeros(2 * n)])
-    out = solve_lp(LinearProgram(G, h, np.zeros(2 * n)))
+    solvability of (A+D)u - (A-D)v <= b with u, v >= 0, the split
+    relaxation of A x + D|x| <= b."""
+    out = solve_lp(split_relaxation(RawProblem(p.A, -p.D, p.b, np.zeros(p.n))))
     if out.is_optimal:
-        return ConnectednessVerdict(True, u=out.x[:n], v=out.x[n:])
+        return ConnectednessVerdict(True, u=out.x[:p.n], v=out.x[p.n:])
     return ConnectednessVerdict(False)
 
 
@@ -181,8 +152,6 @@ def convexity_active_pair_check(
     """
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
-    from .core import membership
-
     scale = 1.0 + abs(p.b[i])
     for x in (x1, x2):
         ok, res = membership(p, x, tol)
@@ -208,10 +177,9 @@ def convexity_vertex_check(p: AvlpProblem, limit: int = 4, tol: float = 1e-8) ->
         raise SizeLimitError(f"convexity vertex check limited to n <= {limit}")
     found: list[tuple[SignVector, np.ndarray, tuple[int, ...]]] = []
     for s in sign_vectors(p.n, list(range(p.n))):
-        S = s.diag()
-        G = p.A - p.D @ S
+        G = orthant_restriction(p, s).G[: p.m]
         for x, active in enumerate_vertices(G, p.b, tol):
-            if np.all(S @ x >= -tol):
+            if np.all(s.as_array() * x >= -tol):
                 found.append((s, x, active))
     for (s1, x1, a1), (s2, x2, a2) in itertools.combinations(found, 2):
         shared = set(a1) & set(a2)

@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="solve by orthant enumeration")
+    sp = sub.add_parser("solve", help="solve by sign-tree branch-and-bound "
+                        "(orthant enumeration when the relaxation is unbounded)")
     sp.add_argument("path")
     sp.add_argument("--relax", action="store_true", help="also report the split-LP bound")
     _output_flags(sp)

@@ -2,9 +2,10 @@
 
 The canonical problem is ``max c^T x  s.t.  A x - D |x| <= b`` with D >= 0
 entrywise.  This module provides the problem types, normalization of
-sign-unrestricted D, restriction to a sign orthant (where the problem
-becomes a plain LP), the split LP relaxation and the secant relaxation
-of a sign-tree node, and membership evaluation.
+sign-unrestricted D, and membership evaluation.  It also holds the LP
+builders: the secant relaxation of a sign-tree node, whose all-fixed case
+is the restriction to a sign orthant (where the problem becomes a plain
+LP), and the split LP relaxation.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _check_shapes(A, D, b, c):
 
 
 @dataclass(frozen=True)
-class AvlpProblem:
-    """max c^T x  s.t.  A x - D |x| <= b, with D >= 0."""
+class RawProblem:
+    """max c^T x  s.t.  A x - D |x| <= b, with D unrestricted in sign."""
 
     A: np.ndarray
     D: np.ndarray
@@ -87,8 +88,6 @@ class AvlpProblem:
 
     def __post_init__(self):
         A, D, b, c = _check_shapes(self.A, self.D, self.b, self.c)
-        if np.any(D < 0):
-            raise ValueError("field 'D' must be nonnegative entrywise; use normalize() first")
         for name, arr in (("A", A), ("D", D), ("b", b), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -100,36 +99,22 @@ class AvlpProblem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+
+@dataclass(frozen=True)
+class AvlpProblem(RawProblem):
+    """max c^T x  s.t.  A x - D |x| <= b, with D >= 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.any(self.D < 0):
+            raise ValueError("field 'D' must be nonnegative entrywise; use normalize() first")
 
     def with_rhs(self, b) -> "AvlpProblem":
         return AvlpProblem(self.A, self.D, b, self.c)
 
     def with_objective(self, c) -> "AvlpProblem":
         return AvlpProblem(self.A, self.D, self.b, c)
-
-
-@dataclass(frozen=True)
-class RawProblem:
-    """Same shape as AvlpProblem but with D unrestricted in sign."""
-
-    A: np.ndarray
-    D: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        A, D, b, c = _check_shapes(self.A, self.D, self.b, self.c)
-        for name, arr in (("A", A), ("D", D), ("b", b), ("c", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
 
 
 def normalize(raw: RawProblem) -> AvlpProblem:
@@ -168,7 +153,8 @@ def orthant_restriction(p: AvlpProblem, s: SignVector) -> LinearProgram:
     """LP obtained by restricting the problem to the orthant diag(s) x >= 0.
 
     Within the orthant |x| = diag(s) x, so the constraints become
-    (A - D diag(s)) x <= b together with -diag(s) x <= 0.
+    (A - D diag(s)) x <= b together with -diag(s) x <= 0.  This is
+    ``secant_relaxation`` with every sign fixed.
 
     A zero entry in s leaves that coordinate unconstrained; this is only
     sound when the matching column of D is zero, since then |x_j| never
@@ -176,28 +162,19 @@ def orthant_restriction(p: AvlpProblem, s: SignVector) -> LinearProgram:
     """
     if s.n != p.n:
         raise DimensionError(f"sign vector length {s.n}, expected {p.n}")
-    entries = np.asarray(s.entries)
-    free = entries == 0
-    if np.any(free & np.any(p.D != 0, axis=0)):
-        raise ValueError(
-            "zero sign entries are only allowed for coordinates whose column "
-            "of D is zero"
-        )
-    S = s.diag()
-    sign_rows = -S[~free]
-    G = np.vstack([p.A - p.D @ S, sign_rows])
-    h = np.concatenate([p.b, np.zeros(sign_rows.shape[0])])
-    return LinearProgram(G, h, p.c)
+    return secant_relaxation(p, s.entries)
 
 
-def split_relaxation(p: AvlpProblem) -> LinearProgram:
+def split_relaxation(p: RawProblem) -> LinearProgram:
     """LP relaxation in split form x = p - q, t = p + q, p, q >= 0, with t
     standing in for |x|:
 
         max c^T p - c^T q  s.t.  (A - D) p - (A + D) q <= b.
 
     The variables are p, then q; the rows are those of the problem, then
-    -p, -q <= 0.  When optimal, its value bounds the exact optimum.
+    -p, -q <= 0.  D may have either sign: with D >= 0, when optimal, its
+    value bounds the exact optimum; with -D in place of D it is the split
+    relaxation of A x + D|x| <= b.
     """
     n = p.n
     G = np.vstack([np.hstack([p.A - p.D, -(p.A + p.D)]), -np.eye(2 * n)])
@@ -211,7 +188,7 @@ def secant(l, u) -> tuple[np.ndarray, np.ndarray]:
     return (u + l) / (u - l), -2.0 * u * l / (u - l)
 
 
-def secant_relaxation(p: AvlpProblem, signs, bounds) -> LinearProgram:
+def secant_relaxation(p: AvlpProblem, signs, bounds=None) -> LinearProgram:
     """LP relaxation in x of the points whose signs match ``signs``
     (entries in {-1, 0, +1}, 0 meaning free) within ``bounds = (l, u)``:
 
@@ -222,16 +199,26 @@ def secant_relaxation(p: AvlpProblem, signs, bounds) -> LinearProgram:
     ``secant`` of |x_j| on [l_j, u_j] on a free one with a nonzero column
     of D (such coordinates need l_j < 0 < u_j).  As D >= 0, this is the
     split relaxation t >= |x| with t capped by the secant, projected onto
-    x.  With every nonzero column of D fixed it is ``orthant_restriction``'s
-    LP.
+    x.  With every nonzero column of D fixed it is the orthant LP, which
+    needs no bounds; a free sign on a nonzero column of D without bounds
+    raises ValueError.
     """
     signs = np.asarray(signs)
     if signs.shape != (p.n,):
         raise DimensionError(f"sign vector shape {signs.shape}, expected ({p.n},)")
-    l, u = bounds
     fixed = signs != 0
     capped = np.flatnonzero(~fixed & np.any(p.D != 0, axis=0))
     slope = signs.astype(float)
+    if capped.size == 0:
+        sign_rows = -np.diag(slope)[fixed]
+        return LinearProgram(np.vstack([p.A - p.D * slope, sign_rows]),
+                             np.concatenate([p.b, np.zeros(sign_rows.shape[0])]), p.c)
+    if bounds is None:
+        raise ValueError(
+            "zero sign entries are only allowed for coordinates whose column "
+            "of D is zero"
+        )
+    l, u = bounds
     intercept = np.zeros(p.n)
     slope[capped], intercept[capped] = secant(l[capped], u[capped])
     eye = np.eye(p.n)

@@ -5,8 +5,10 @@ The feasible set is a union of convex polyhedra, one per sign orthant, so
 the problem reduces to at most 2^l LPs where l counts the nonzero columns
 of D.  When the split LP relaxation bounds every coordinate, ``solve_exact``
 searches a tree over those signs instead and typically solves a few dozen
-LPs; otherwise it solves all 2^l orthant LPs.  Every orthant sweep of the
-package runs through ``_orthant_search``.
+LPs; otherwise it solves all 2^l orthant LPs.  That sweep and
+``find_feasible_point`` share one orthant loop, ``_orthant_search``; every
+other per-orthant sweep of the package draws its signs from
+``sign_vectors``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Exact-arithmetic unimodularity checks deciding whether every vertex of
-the feasible set is integral for all integral right-hand sides.
+"""Exact integer linear algebra (Bareiss determinants, exact rank, an exact
+rational solve) and the unimodularity checks deciding whether every vertex
+of the feasible set is integral for all integral right-hand sides.
 
 All arithmetic here runs over Python integers (fraction-free Bareiss
 elimination); the whole point is distinguishing determinant values +-1
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,6 +77,12 @@ def _bareiss(a: list[list[int]], skip_zero_columns: bool) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of the square integer rows, eliminated in place."""
+    rank, last = _bareiss(rows, skip_zero_columns=False)
+    return last if rank == len(rows) else 0
+
+
 def det_exact(M) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss
     elimination; exact for any magnitude."""
@@ -82,8 +90,28 @@ def det_exact(M) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    rank, last = _bareiss(rows, skip_zero_columns=False)
-    return last if rank == n else 0
+    return _det(rows)
+
+
+def solve_rational(rows, rhs) -> list[Fraction] | None:
+    """Exact solution of the square system rows x = rhs, or None when it is
+    singular.  Entries may be ints, Fractions or floats (read exactly).
+
+    Each equation is scaled to integers by the lcm of its denominators,
+    which leaves the solution unchanged; Cramer's rule then takes every
+    x_j as a ratio of two Bareiss determinants.
+    """
+    scaled = []
+    for row, r in zip(rows, rhs):
+        eq = [Fraction(v) for v in row] + [Fraction(r)]
+        k = math.lcm(*(v.denominator for v in eq))
+        scaled.append([v.numerator * (k // v.denominator) for v in eq])
+    d = len(scaled)
+    det = _det([eq[:d] for eq in scaled])
+    if det == 0:
+        return None
+    return [Fraction(_det([eq[:j] + eq[d:] + eq[j + 1:d] for eq in scaled]), det)
+            for j in range(d)]
 
 
 def rank_exact(M) -> int:
@@ -110,8 +138,7 @@ def is_unimodular(M, budget: int = DEFAULT_BUDGET) -> UnimodularityResult:
     if count > budget:
         raise BudgetExceededError(f"{count} column subsets exceed budget {budget}")
     for subset in itertools.combinations(range(m), n):
-        rank, last = _bareiss([[row[j] for j in subset] for row in rows], skip_zero_columns=False)
-        d = last if rank == n else 0
+        d = _det([[row[j] for j in subset] for row in rows])
         if d not in (-1, 0, 1):
             return UnimodularityResult(False, subset, d)
     return UnimodularityResult(True)

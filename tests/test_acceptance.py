@@ -8,7 +8,6 @@ yields a nine-line scoreboard.
 import csv
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ class TestPolygon2d:
         )
         out = str(tmp_path / "poly.csv")
         assert cli.main(["polygon2d", path, out]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines == ["s1,s2,vertex,x1,x2"]
 
     def test_requires_two_variables(self, tmp_path, capsys):

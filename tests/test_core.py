@@ -108,6 +108,27 @@ def test_orthant_restriction_builds_expected_system():
     assert np.array_equal(lp.G[0], [9.0, 9.0])
 
 
+def test_orthant_restriction_matches_the_explicit_formula():
+    # [A - D diag(s); -diag(s)[s != 0]] x <= [b; 0], with zero signs on
+    # some zero columns of D
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        zero_cols = rng.random(n) < 0.4
+        D = np.abs(rng.normal(size=(m, n)))
+        D[:, zero_cols] = 0.0
+        s = rng.choice((-1, 1), size=n)
+        s[zero_cols & (rng.random(n) < 0.5)] = 0
+        p = AvlpProblem(rng.normal(size=(m, n)), D, rng.normal(size=m), rng.normal(size=n))
+        lp = orthant_restriction(p, SignVector(tuple(s)))
+        kept = [j for j in range(n) if s[j] != 0]
+        G = [[p.A[i, j] - p.D[i, j] * s[j] for j in range(n)] for i in range(m)]
+        G += [[-float(s[j]) if k == j else 0.0 for k in range(n)] for j in kept]
+        assert np.array_equal(lp.G, G)
+        assert np.array_equal(lp.h, list(p.b) + [0.0] * len(kept))
+        assert np.array_equal(lp.obj, p.c)
+
+
 def test_orthant_restriction_zero_sign_leaves_coordinate_free():
     p = AvlpProblem([[1.0, 0.0]], [[0.0, 0.0]], [1.0], [1.0, 0.0])
     lp = orthant_restriction(p, SignVector((1, 0)))
@@ -168,6 +189,14 @@ def test_secant_relaxation_caps_free_coordinates_by_the_secant():
     # then the sign row -x_1 <= 0 and the box -1 <= x_0 <= 4
     assert np.allclose(lp.G, [[0.4, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     assert np.allclose(lp.h, [2.6, 0.0, 4.0, 1.0])
+
+
+def test_secant_relaxation_without_bounds_needs_every_nonzero_d_column_fixed():
+    p = AvlpProblem([[1.0, 1.0]], [[0.0, 1.0]], [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="zero sign entries"):
+        secant_relaxation(p, np.array([1, 0]))
+    # a free sign on the zero column of D needs no bounds
+    assert secant_relaxation(p, np.array([0, 1])).G.shape == (2, 2)
 
 
 def test_secant_relaxation_rejects_wrong_sign_length():

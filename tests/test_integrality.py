@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from avlp.integrality import (
     integrality_rank_one,
     is_unimodular,
     rank_exact,
+    solve_rational,
 )
+
+from .oracles import _solve_square
 
 
 class TestDetExact:
@@ -40,6 +44,29 @@ class TestDetExact:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             det_exact([[0.5]])
+
+
+class TestSolveRational:
+    def test_matches_the_oracle_on_float_systems(self):
+        # float data read exactly; every third system is made singular by
+        # a zero row (d = 1) or a row that doubles another, which is exact
+        # in floating point
+        rng = np.random.default_rng(7)
+        singular = 0
+        for t in range(150):
+            d = int(rng.integers(1, 5))
+            M = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4, size=(d, 1))
+            if t % 3 == 0:
+                M[-1] = 2.0 * M[0] if d > 1 else 0.0
+            rhs = rng.normal(size=d)
+            expected = _solve_square(M.tolist(), rhs.tolist())
+            assert solve_rational(M.tolist(), rhs.tolist()) == expected
+            singular += expected is None
+        assert singular == 50
+
+    def test_fraction_entries(self):
+        x = solve_rational([[Fraction(1, 3), 1], [0, Fraction(2, 7)]], [1, Fraction(1, 2)])
+        assert x == [Fraction(-9, 4), Fraction(7, 4)]
 
 
 class TestRankExact:

@@ -130,8 +130,6 @@ class TestOptimumOnLpPart:
         assert optimum_on_lp_part(tiny()).verdict == "inapplicable"
 
     def test_random_instances_with_property_holding(self):
-        from avlp.exact import SolveStatus, solve_exact
-
         rng = np.random.default_rng(11)
         confirmed = 0
         for _ in range(120):

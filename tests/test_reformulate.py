@@ -7,7 +7,6 @@ from avlp import exact, simplex
 from avlp.core import SignVector, membership
 from avlp.exact import SolveStatus, solve_exact
 from avlp.reformulate import (
-    Encoding,
     OrthantConvexVerificationError,
     Polyhedron,
     ReformulationError,
