@@ -21,7 +21,7 @@ from .core import (
 )
 from .exact import find_feasible_point, sign_vectors
 from .integrality import solve_rational
-from .simplex import solve_lp
+from .simplex import FEAS_TOL, MEMBER_TOL, margin, solve_lp
 
 VERTEX_MAX_DIM = 4
 VERTEX_MAX_ROWS = 12
@@ -31,7 +31,7 @@ class SizeLimitError(ValueError):
     """Enumeration limits for the brute-force routines exceeded."""
 
 
-def enumerate_vertices(G, h, tol: float = 1e-9) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+def enumerate_vertices(G, h, tol: float = MEMBER_TOL) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """All vertices of {x : G x <= h} with their active row sets.
 
     Candidate points are the solutions of every nonsingular d-subset of
@@ -118,7 +118,7 @@ def bounded_for_all_b(p: AvlpProblem) -> BoundednessVerdict:
     )
     for s in sign_vectors(n, list(range(n))):
         out = solve_lp(orthant_restriction(capped.with_objective(s.as_array()), s))
-        if out.is_optimal and out.value > 1e-8:
+        if out.is_optimal and out.value > FEAS_TOL:
             return BoundednessVerdict(False, ray=out.x, sign=s)
     return BoundednessVerdict(True)
 
@@ -142,51 +142,50 @@ def connected_sufficient(p: AvlpProblem) -> ConnectednessVerdict:
     return ConnectednessVerdict(False)
 
 
-def convexity_active_pair_check(
-    p: AvlpProblem, x1, x2, i: int, tol: float = 1e-8
-) -> ConvexityVerdict:
+def convexity_active_pair_check(p: AvlpProblem, x1, x2, i: int) -> ConvexityVerdict:
     """Necessary convexity condition at a shared active row.
 
-    Requires row i active at both feasible points.  A coordinate j with
-    x1_j * x2_j < 0 and D_ij > 0 certifies that M is not convex.
+    Requires row i active at both feasible points (within
+    margin(FEAS_TOL, b_i), members at FEAS_TOL).  A coordinate j with
+    x1_j * x2_j < -FEAS_TOL and D_ij > 0 certifies that M is not convex.
     """
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
-    scale = 1.0 + abs(p.b[i])
     for x in (x1, x2):
-        ok, res = membership(p, x, tol)
+        ok, res = membership(p, x, FEAS_TOL)
         if not ok:
             raise ValueError("point is not feasible")
-        if abs(res[i]) > tol * scale:
+        if abs(res[i]) > margin(FEAS_TOL, p.b[i]):
             raise ValueError(f"row {i} is not active at the point")
     for j in range(p.n):
-        if x1[j] * x2[j] < -tol and p.D[i, j] > 0:
+        if x1[j] * x2[j] < -FEAS_TOL and p.D[i, j] > 0:
             return ConvexityVerdict(False, row=i, coordinate=j, x1=x1, x2=x2)
     return ConvexityVerdict(True)
 
 
-def convexity_vertex_check(p: AvlpProblem, limit: int = 4, tol: float = 1e-8) -> ConvexityVerdict:
+def convexity_vertex_check(p: AvlpProblem) -> ConvexityVerdict:
     """Necessary convexity condition over orthant-polyhedron vertices.
 
     Enumerates, per orthant s, the vertices of (A - D diag(s)) x <= b that
-    lie in the orthant.  Two vertices from different orthants sharing an
-    active row i while flipping the sign of a coordinate j with D_ij > 0
-    certify that M is not convex.
+    lie in the orthant (at FEAS_TOL), for n <= VERTEX_MAX_DIM.  Two
+    vertices from different orthants sharing an active row i while
+    flipping the sign of a coordinate j with D_ij > 0 certify that M is
+    not convex.
     """
-    if p.n > limit:
-        raise SizeLimitError(f"convexity vertex check limited to n <= {limit}")
+    if p.n > VERTEX_MAX_DIM:
+        raise SizeLimitError(f"convexity vertex check limited to n <= {VERTEX_MAX_DIM}")
     found: list[tuple[SignVector, np.ndarray, tuple[int, ...]]] = []
     for s in sign_vectors(p.n, list(range(p.n))):
         G = orthant_restriction(p, s).G[: p.m]
-        for x, active in enumerate_vertices(G, p.b, tol):
-            if np.all(s.as_array() * x >= -tol):
+        for x, active in enumerate_vertices(G, p.b, FEAS_TOL):
+            if np.all(s.as_array() * x >= -FEAS_TOL):
                 found.append((s, x, active))
     for (s1, x1, a1), (s2, x2, a2) in itertools.combinations(found, 2):
         shared = set(a1) & set(a2)
         if not shared:
             continue
         for j in range(p.n):
-            if x1[j] * x2[j] < -tol:
+            if x1[j] * x2[j] < -FEAS_TOL:
                 for i in shared:
                     if p.D[i, j] > 0:
                         return ConvexityVerdict(False, row=i, coordinate=j, x1=x1, x2=x2)

@@ -50,8 +50,25 @@ def _jsonify(obj):
     return obj
 
 
+def _floats(value, field) -> np.ndarray:
+    """value as a float array, or a ProblemFileError naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"field {field!r}: {exc}") from None
+
+
+def _count(data, field) -> int:
+    """data[field] as an int, or a ProblemFileError naming the field."""
+    value = _field(data, field)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"field {field!r}: {exc}") from None
+
+
 def _matrix(flat, m, n, field):
-    arr = np.asarray(flat, dtype=float)
+    arr = _floats(flat, field)
     if arr.size != m * n:
         raise ProblemFileError(f"field {field!r} has {arr.size} entries, expected {m * n}")
     return arr.reshape(m, n)
@@ -69,11 +86,11 @@ def load_problem(path: str) -> tuple[AvlpProblem, dict]:
     for field in ("n", "m", "A", "D", "b", "c"):
         if field not in data:
             raise ProblemFileError(f"missing field {field!r}")
-    m, n = int(data["m"]), int(data["n"])
+    m, n = _count(data, "m"), _count(data, "n")
     A = _matrix(data["A"], m, n, "A")
     D = _matrix(data["D"], m, n, "D")
-    b = np.asarray(data["b"], dtype=float)
-    c = np.asarray(data["c"], dtype=float)
+    b = _floats(data["b"], "b")
+    c = _floats(data["c"], "c")
     if b.size != m:
         raise ProblemFileError(f"field 'b' has {b.size} entries, expected {m}")
     if c.size != n:
@@ -181,11 +198,12 @@ def _field(obj, key: str, where: str = ""):
 
 
 def _rows(data, key: str, g="g", h="h", where="") -> list[tuple[np.ndarray, float]]:
-    """The (g, h) pairs of the list data[key], naming any missing field."""
+    """The (g, h) pairs of the list data[key], naming any missing or
+    malformed field."""
     rows = []
     for i, t in enumerate(_field(data, key, where)):
         at = f"{where}{key}[{i}]."
-        rows.append((np.asarray(_field(t, g, at), dtype=float), float(_field(t, h, at))))
+        rows.append((_floats(_field(t, g, at), at + g), float(_floats(_field(t, h, at), at + h))))
     return rows
 
 
@@ -193,27 +211,28 @@ def cmd_reformulate(args) -> int:
     data = _read_json(args.input)
     kind = args.kind
     if kind == "ilp01":
-        m, n = int(_field(data, "m")), int(_field(data, "n"))
+        m, n = _count(data, "m"), _count(data, "n")
         enc = reformulate.ilp01_to_avlp(
-            _matrix(_field(data, "A"), m, n, "A"), _field(data, "b"), _field(data, "c"),
+            _matrix(_field(data, "A"), m, n, "A"),
+            _floats(_field(data, "b"), "b"), _floats(_field(data, "c"), "c"),
         )
         out = _encoding_file(enc)
     elif kind == "disj-ineq":
-        n = int(_field(data, "n"))
+        n = _count(data, "n")
         enc = reformulate.disjunction_ineq_to_avlp(_rows(data, "terms"), n)
         out = _encoding_file(enc)
     elif kind == "disj-eq":
-        n = int(_field(data, "n"))
+        n = _count(data, "n")
         mode = "paper_literal" if args.mode == "paper-literal" else "corrected"
         enc = reformulate.disjunction_eq_to_avlp(
             _rows(data, "left"), _rows(data, "right"), n, mode=mode
         )
         out = _encoding_file(enc)
     elif kind == "union":
-        n = int(_field(data, "n"))
+        n = _count(data, "n")
         pieces = []
         for i, piece in enumerate(_field(data, "pieces")):
-            h = np.asarray(_field(piece, "h", f"pieces[{i}]."), dtype=float)
+            h = _floats(_field(piece, "h", f"pieces[{i}]."), f"pieces[{i}].h")
             G = _matrix(_field(piece, "G", f"pieces[{i}]."), h.size, n, f"pieces[{i}].G")
             pieces.append(reformulate.Polyhedron(G, h))
         enc = reformulate.union_to_avlp(reformulate.UnionOfPolyhedra(tuple(pieces)))
@@ -296,7 +315,7 @@ def cmd_integrality(args) -> int:
     if not (np.all(p.A == np.round(p.A)) and np.all(p.D == np.round(p.D))):
         print("error: field 'A'/'D': entries must be integers", file=sys.stderr)
         return 1
-    rep = integrality.integrality_full(p.A.astype(int), p.D.astype(int))
+    rep = integrality.integrality_full(p.A, p.D)
     _emit(
         {
             "integral_for_all_b": rep.integral_for_all_b,

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import LinearProgram
-
-DEFAULT_FEAS_TOL = 1e-9
+from .simplex import MEMBER_TOL, LinearProgram, margin
 
 
 class DimensionError(ValueError):
@@ -87,8 +85,10 @@ class RawProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        A, D, b, c = _check_shapes(self.A, self.D, self.b, self.c)
-        for name, arr in (("A", A), ("D", D), ("b", b), ("c", c)):
+        given = (self.A, self.D, self.b, self.c)
+        for name, arr, src in zip("ADbc", _check_shapes(*given), given):
+            if isinstance(src, np.ndarray) and arr.flags.writeable:
+                arr = arr.copy()  # the caller's array or a view of it stays theirs
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -229,17 +229,17 @@ def secant_relaxation(p: AvlpProblem, signs, bounds=None) -> LinearProgram:
 
 
 def membership(
-    p: AvlpProblem, x, tol: float = DEFAULT_FEAS_TOL
+    p: AvlpProblem, x, tol: float = MEMBER_TOL
 ) -> tuple[bool, np.ndarray]:
     """Evaluate A x - D|x| <= b at x; returns (feasible, residual vector).
 
-    Feasibility uses a relative tolerance tol * (1 + |b_i|) per row.
+    Feasibility allows margin(tol, b_i) per row.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != p.n:
         raise DimensionError(f"point has length {x.shape[0]}, expected {p.n}")
     residual = p.A @ x - p.D @ np.abs(x) - p.b
-    ok = bool(np.all(residual <= tol * (1.0 + np.abs(p.b))))
+    ok = bool(np.all(residual <= margin(tol, p.b)))
     return ok, residual
 
 

@@ -31,7 +31,8 @@ from .core import (
     secant_relaxation,
     split_relaxation,
 )
-from .simplex import FEAS_TOL, PIVOT_TOL, LinearProgram, LpOutcome, LpStatus, SimplexError, solve_lp
+from .simplex import (FEAS_TOL, PIVOT_TOL, LinearProgram, LpOutcome, LpStatus, SimplexError,
+                      margin, solve_lp)
 
 
 class SolveStatus:
@@ -93,13 +94,14 @@ def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
 def _beats(bound: float, incumbent: float) -> bool:
     """Whether a node whose relaxation reaches ``bound`` may still improve
     on the incumbent value.  Without an incumbent every node may:
-    -inf + tol * inf is NaN, and comparing with it would prune them all."""
-    return incumbent == -math.inf or bound > incumbent + FEAS_TOL * (1.0 + abs(incumbent))
+    -inf + margin(tol, -inf) is NaN, and comparing with it would prune
+    them all."""
+    return incumbent == -math.inf or bound > incumbent + margin(FEAS_TOL, incumbent)
 
 
 def _coordinate_bounds(p: AvlpProblem) -> tuple[LpStatus, np.ndarray, np.ndarray, int]:
     """Bounds l <= x <= u over the split relaxation from 2n LPs, widened
-    outward by PIVOT_TOL * (1 + |bound|), the kernel's optimality
+    outward by margin(PIVOT_TOL, bound), the kernel's optimality
     tolerance.  A secant on these bounds leaves t_j - |x_j| of the widening
     at the ends, so a wider margin (FEAS_TOL) would keep points on a box
     face from passing membership and make the tree branch to the leaves.
@@ -122,8 +124,7 @@ def _coordinate_bounds(p: AvlpProblem) -> tuple[LpStatus, np.ndarray, np.ndarray
                 return out.status, None, None, solved
             ends[row, j] = sign * out.value
     u, l = ends
-    return (LpStatus.OPTIMAL, l - PIVOT_TOL * (1.0 + np.abs(l)),
-            u + PIVOT_TOL * (1.0 + np.abs(u)), solved)
+    return LpStatus.OPTIMAL, l - margin(PIVOT_TOL, l), u + margin(PIVOT_TOL, u), solved
 
 
 def _sign_tree(p: AvlpProblem) -> SolveReport | None:
@@ -294,18 +295,20 @@ class CandidacyResult:
         return self.passed
 
 
-def vertex_candidacy(p: AvlpProblem, x, tol: float = 1e-8) -> CandidacyResult:
+def vertex_candidacy(p: AvlpProblem, x) -> CandidacyResult:
     """Necessary vertex condition: a vertex of conv(M) must be a vertex of
     the orthant polyhedron both without and with the orthant rows.
 
-    fail certifies x is not a vertex of conv(M); pass is not sufficient.
+    x must be a member at FEAS_TOL; a row is active when it holds with
+    equality within margin(FEAS_TOL, h_i).  fail certifies x is not a
+    vertex of conv(M); pass is not sufficient.
     """
     x = np.asarray(x, dtype=float).ravel()
-    ok, _ = membership(p, x, tol)
+    ok, _ = membership(p, x, FEAS_TOL)
     if not ok:
         raise ValueError("point is not feasible")
     lp = orthant_restriction(p, SignVector.from_point(x))
-    active = np.abs(lp.G @ x - lp.h) <= tol * (1.0 + np.abs(lp.h))
+    active = np.abs(lp.G @ x - lp.h) <= margin(FEAS_TOL, lp.h)
     active1 = lp.G[: p.m][active[: p.m]]
     rank1 = np.linalg.matrix_rank(active1) if active1.size else 0
     if rank1 < p.n:

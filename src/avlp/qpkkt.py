@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AvlpProblem
-from .simplex import LinearProgram, LpStatus, solve_lp
+from .simplex import FEAS_TOL, MEMBER_TOL, VALUE_TOL, LinearProgram, LpStatus, margin, solve_lp
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,14 @@ class QpReformulation:
         x2 = np.asarray(x2, dtype=float)
         return float(c @ x1 - c @ x2 - self.alpha * (x1 @ x2))
 
-    def feasible(self, x1, x2, tol: float = 1e-9) -> bool:
+    def feasible(self, x1, x2) -> bool:
+        """x1, x2 >= -MEMBER_TOL and the rows hold within margin(MEMBER_TOL, b_i)."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        if np.min(x1, initial=0.0) < -tol or np.min(x2, initial=0.0) < -tol:
+        if np.min(x1, initial=0.0) < -MEMBER_TOL or np.min(x2, initial=0.0) < -MEMBER_TOL:
             return False
         resid = self.lower @ x1 - self.upper @ x2 - self.problem.b
-        return bool(np.all(resid <= tol * (1.0 + np.abs(self.problem.b))))
+        return bool(np.all(resid <= margin(MEMBER_TOL, self.problem.b)))
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,15 @@ def build_qp(p: AvlpProblem, alpha="auto") -> QpReformulation:
     return QpReformulation(p, alpha, p.A - p.D, p.A + p.D)
 
 
-def verify_kkt(
-    qp: QpReformulation, b, pt: KktPoint, tol: float = 1e-8
-) -> KktVerification:
+def verify_kkt(qp: QpReformulation, b, pt: KktPoint) -> KktVerification:
     """Check the first-order system of the split QP at the given point,
     for the given right-hand side.
 
     Stationarity: u = -c + alpha x2 + (A-D)^T w and
     v = c + alpha x1 - (A+D)^T w.  Nonnegativity covers all five blocks,
     feasibility is (A-D)x1 - (A+D)x2 <= b, and multiplier complementarity
-    is u^T x1 = v^T x2 = w^T (b - (A-D)x1 + (A+D)x2) = 0.
+    is u^T x1 = v^T x2 = w^T (b - (A-D)x1 + (A+D)x2) = 0.  Each residual
+    and each product x1_i x2_i is compared with FEAS_TOL.
     """
     b = np.asarray(b, dtype=float).ravel()
     c = qp.problem.c
@@ -112,7 +112,7 @@ def verify_kkt(
 
     def check(name, err):
         errs.append(err)
-        if err > tol:
+        if err > FEAS_TOL:
             violations.append(name)
 
     check(
@@ -131,7 +131,7 @@ def verify_kkt(
         max(abs(float(pt.u @ pt.x1)), abs(float(pt.v @ pt.x2)), abs(float(pt.w @ slack))),
     )
     noncomp = tuple(
-        int(i) for i in np.nonzero(pt.x1 * pt.x2 > tol)[0]
+        int(i) for i in np.nonzero(pt.x1 * pt.x2 > FEAS_TOL)[0]
     )
     return KktVerification(
         valid=not violations,
@@ -189,7 +189,7 @@ def kkt_global_property(p: AvlpProblem, aggregate: bool = False) -> GlobalKktRep
     best_margin = -np.inf
     if aggregate:
         out = probe(np.arange(n))
-        if out.is_optimal and out.value > 1e-8:
+        if out.is_optimal and out.value > FEAS_TOL:
             return GlobalKktReport(False, out.x[:m], None, out.value)
         best_margin = out.value if out.is_optimal else -np.inf
     else:
@@ -197,7 +197,7 @@ def kkt_global_property(p: AvlpProblem, aggregate: bool = False) -> GlobalKktRep
             out = probe(np.array([i]))
             if out.status is LpStatus.INFEASIBLE:
                 continue
-            if out.is_optimal and out.value > 1e-8:
+            if out.is_optimal and out.value > FEAS_TOL:
                 return GlobalKktReport(False, out.x[:m], i, out.value)
             if out.is_optimal:
                 best_margin = max(best_margin, out.value)
@@ -240,14 +240,14 @@ class LpPartReport:
     reason: str | None = None
 
 
-def optimum_on_lp_part(p: AvlpProblem, tol: float = 1e-6) -> LpPartReport:
+def optimum_on_lp_part(p: AvlpProblem) -> LpPartReport:
     """When the global complementarity property holds, an optimum of the
     problem is attained on the D-free part {x : Ax <= b} whenever that
     part is nonempty and the problem has an optimum.  This solves the
     plain LP max c^T x s.t. Ax <= b and compares with the exact optimum.
 
     Returns inapplicable when a hypothesis fails, confirmed when the two
-    values agree within tol, refuted otherwise.
+    values agree within margin(VALUE_TOL, exact optimum), refuted otherwise.
     """
     from .exact import SolveStatus, solve_exact
 
@@ -261,7 +261,7 @@ def optimum_on_lp_part(p: AvlpProblem, tol: float = 1e-6) -> LpPartReport:
     rep = solve_exact(p)
     if rep.status != SolveStatus.OPTIMAL:
         return LpPartReport("inapplicable", reason=f"problem is {rep.status}")
-    agree = abs(lp_out.value - rep.f_star) <= tol * (1.0 + abs(rep.f_star))
+    agree = abs(lp_out.value - rep.f_star) <= margin(VALUE_TOL, rep.f_star)
     return LpPartReport(
         "confirmed" if agree else "refuted",
         x_star=lp_out.x,

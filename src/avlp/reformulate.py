@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AvlpProblem, SignVector, orthant_restriction
 from .exact import find_feasible_point, sign_vectors
-from .simplex import LpStatus, solve_lp
+from .simplex import MEMBER_TOL, VERIFY_TOL, LpStatus, margin, solve_lp
 
 
 class ReformulationError(ValueError):
@@ -324,9 +324,10 @@ class Polyhedron:
     def n(self) -> int:
         return self.G.shape[1]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """G x <= h within margin(MEMBER_TOL, h_i) per row."""
         x = np.asarray(x, dtype=float).ravel()
-        return bool(np.all(self.G @ x <= self.h + tol * (1.0 + np.abs(self.h))))
+        return bool(np.all(self.G @ x <= self.h + margin(MEMBER_TOL, self.h)))
 
 
 @dataclass(frozen=True)
@@ -346,8 +347,8 @@ class UnionOfPolyhedra:
     def n(self) -> int:
         return self.pieces[0].n
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return any(q.contains(x, tol) for q in self.pieces)
+    def contains(self, x) -> bool:
+        return any(q.contains(x) for q in self.pieces)
 
 
 def _selector_codes(m: int) -> list[tuple[int, ...]]:
@@ -438,8 +439,9 @@ def _emit_orthant_convex(pieces, n, alpha):
     return np.array(A_rows), np.array(D_rows), np.array(b_vals)
 
 
-def _verify_orthant_convex(pieces, emitted: AvlpProblem, tol=1e-7):
-    """Check each emitted row is implied by every orthant's description."""
+def _verify_orthant_convex(pieces, emitted: AvlpProblem):
+    """Check each emitted row is implied by every orthant's description:
+    its maximum there stays within margin(VERIFY_TOL, beta) of beta."""
     n = emitted.n
     piece_rows = {s.entries: rows for s, rows in pieces}
     orthants = []
@@ -457,7 +459,7 @@ def _verify_orthant_convex(pieces, emitted: AvlpProblem, tol=1e-7):
         for sp, lp, rows_in_sp in orthants:
             out = solve_lp(replace(lp, obj=rows_in_sp[row]))
             if out.status is LpStatus.UNBOUNDED or (
-                out.is_optimal and out.value > beta + tol * (1.0 + abs(beta))
+                out.is_optimal and out.value > beta + margin(VERIFY_TOL, beta)
             ):
                 offending.append((sp.entries, row))
     return offending

@@ -9,9 +9,46 @@ infeasible ones.
 Rows of G with no nonzero entry are decided before the tableau is built
 (the empty-row rule of LP presolve, Andersen & Andersen, Math. Prog. 71,
 1995): such a row reads 0 <= h_i, so the LP is infeasible, with Farkas
-vector e_i, as soon as one has h_i < -FEAS_TOL * (1 + |h_i|); otherwise
+vector e_i, as soon as one has h_i < -margin(FEAS_TOL, h_i); otherwise
 those rows are dropped and the rest is solved.  An LP without columns is
 all empty rows.
+
+Tolerance policy.  This module, the bottom of the package's import graph,
+holds every tolerance the package decides a verdict with; the other
+modules import these names, and no other module defines a tolerance of
+its own (the rigorous rounding constants of ``stability``'s enclosures
+are not tolerances and stay there).
+
+- ``PIVOT_TOL`` = 1e-10: the kernel's pivot and optimality threshold, an
+  absolute test on tableau entries and reduced costs; also the outward
+  widening of the sign tree's coordinate bounds.
+- ``RATIO_TIE_TOL`` = 1e-9: ratios within RATIO_TIE_TOL * (1 + |least
+  ratio|) of the least tie in the kernel's ratio test, written inline so
+  that a pivot makes no extra call.
+- ``MEMBER_TOL`` = 1e-9: a point satisfies a row (``membership``,
+  ``Polyhedron.contains``, ``QpReformulation.feasible``); the default of
+  the two tolerances callers pass, ``membership``'s and
+  ``enumerate_vertices``'.
+- ``FEAS_TOL`` = 1e-8: an LP row set is feasible (phase 1 and the empty
+  rows), a row is active at a point, a node's bound beats the incumbent,
+  and an LP value or product is positive (boundedness and KKT margins,
+  KKT residuals, sign products in the convexity checks).  The vertex
+  candidacy test and the convexity checks pass it to ``membership``.
+- ``VERIFY_TOL`` = 1e-7: a constructed object checks out (a point
+  recovered from stable multipliers, a row emitted by the orthant-convex
+  encoding).
+- ``VALUE_TOL`` = 1e-6: two optimal values reached by different routes
+  agree (``optimum_on_lp_part``).
+
+Every relative test but the ratio tie goes through one rule,
+``margin(tol, ref)`` = tol * (1 + |ref|), with ref the right-hand side or
+value the quantity is compared against.  These tests are absolute,
+against tol itself: the
+kernel's pivot tests, positivity of an LP value (``bounded_for_all_b``
+and both margins of ``kkt_global_property``), ``verify_kkt``'s residuals
+and its x1 * x2 test, the nonnegativity of ``QpReformulation.feasible``,
+the sign products of the convexity checks and ``enumerate_vertices``'
+exact ``Fraction`` comparisons.
 """
 
 from __future__ import annotations
@@ -22,7 +59,17 @@ from enum import Enum
 import numpy as np
 
 PIVOT_TOL = 1e-10
+RATIO_TIE_TOL = 1e-9
+MEMBER_TOL = 1e-9
 FEAS_TOL = 1e-8
+VERIFY_TOL = 1e-7
+VALUE_TOL = 1e-6
+
+
+def margin(tol: float, ref):
+    """Slack tol * (1 + |ref|) of a relative test against ``ref``, a
+    number or an array (entrywise)."""
+    return tol * (1.0 + abs(ref))
 
 
 class SimplexError(RuntimeError):
@@ -115,7 +162,7 @@ def _iterate(T, red, basis, bland_after: int, max_iters: int):
         ratios = T[pos, -1] / colvals[pos]
         rmin = ratios.min()
         scale = 1.0 + abs(rmin)
-        ties = pos[ratios <= rmin + 1e-9 * scale]
+        ties = pos[ratios <= rmin + RATIO_TIE_TOL * scale]
         row = int(min(ties, key=lambda r: basis[r]))
         degen = degen + 1 if rmin <= PIVOT_TOL else 0
         _pivot(T, red, basis, row, col)
@@ -126,7 +173,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve an inequality-form LP, returning status plus certificate.
 
     Rows of G with no nonzero entry are decided first: if one has
-    h_i < -FEAS_TOL * (1 + |h_i|), the first such row gives the Farkas
+    h_i < -margin(FEAS_TOL, h_i), the first such row gives the Farkas
     vector e_i and no tableau is built; otherwise they are dropped, and a
     Farkas vector of the remaining rows is returned with zeros on them.
 
@@ -141,7 +188,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     kept = None
     empty = ~G.any(axis=1)
     if empty.any():
-        violated = np.flatnonzero(empty & (h < -FEAS_TOL * (1.0 + np.abs(h))))
+        violated = np.flatnonzero(empty & (h < -margin(FEAS_TOL, h)))
         if violated.size:
             y = np.zeros(k_all)
             y[violated[0]] = 1.0
@@ -180,8 +227,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if _iterate(T, red, basis, bland_after, max_iters) is not None:
         raise SimplexError("phase-1 problem reported unbounded")
 
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    if -red[-1] > FEAS_TOL * scale:
+    if -red[-1] > margin(FEAS_TOL, np.max(np.abs(h), initial=0.0)):
         # infeasible; recover Farkas vector from phase-1 duals
         y = 1.0 - red[N : N + k]
         p = np.where(flip, -y, y)

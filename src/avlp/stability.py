@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AvlpProblem, membership
-from .simplex import LinearProgram, solve_lp
+from .simplex import FEAS_TOL, VERIFY_TOL, LinearProgram, margin, solve_lp
 
 _WIDEN_ULPS = 4
 
@@ -239,9 +239,9 @@ class IntervalMatrix:
     def T(self) -> "IntervalMatrix":
         return IntervalMatrix(self.mid.T, self.rad.T)
 
-    def contains_matrix(self, M, tol: float = 0.0) -> bool:
+    def contains_matrix(self, M) -> bool:
         M = np.asarray(M, dtype=float)
-        return bool(np.all(np.abs(M - self.mid) <= self.rad + tol))
+        return bool(np.all(np.abs(M - self.mid) <= self.rad))
 
 
 def interval_matvec(M: IntervalMatrix, box) -> IntervalVector:
@@ -263,16 +263,14 @@ def _inflate(lo, hi, eps: float):
     return lo - pad, hi + pad
 
 
-def enclose_solutions(
-    M: IntervalMatrix, rhs, refine: bool = True, max_sweeps: int = 20
-) -> IntervalVector:
+def enclose_solutions(M: IntervalMatrix, rhs) -> IntervalVector:
     """Box guaranteed to contain every solution of Ax = rhs over A in M.
 
     Preconditions by the midpoint inverse C, bounds the solution spread by
     a Neumann-type estimate, then certifies the result with a Krawczyk
     containment test (epsilon-inflated): the Krawczyk box must lie in the
     interior of the trial box, which also proves every matrix in M
-    nonsingular.  Optionally tightens it with interval Gauss-Seidel sweeps.
+    nonsingular.  Then tightens it with interval Gauss-Seidel sweeps.
     Raises EnclosureError when the preconditioned radius is too large or
     certification fails.
     """
@@ -331,14 +329,14 @@ def enclose_solutions(
     if not certified:
         raise EnclosureError("containment certification failed")
 
-    if refine:
-        lo, hi = _gauss_seidel(Am, Ar, rhs, lo, hi, max_sweeps)
+    lo, hi = _gauss_seidel(Am, Ar, rhs, lo, hi)
     return IntervalVector(np.stack([lo, hi]))
 
 
-def _gauss_seidel(Am, Ar, rhs, lo, hi, max_sweeps):
+def _gauss_seidel(Am, Ar, rhs, lo, hi):
     """Interval Gauss-Seidel sweeps x_i <- (rhs_i - sum_{j != i} A_ij x_j)
-    / A_ii intersected with x_i, until no bound moves by more than 1e-15."""
+    / A_ii intersected with x_i, until no bound moves by more than 1e-15,
+    at most 20 times."""
     n = len(rhs)
     off_mid, off_rad = Am.copy(), Ar.copy()
     np.fill_diagonal(off_mid, 0.0)
@@ -347,7 +345,7 @@ def _gauss_seidel(Am, Ar, rhs, lo, hi, max_sweeps):
     piv_hi = _next_up(np.diag(Am) + np.diag(Ar)).tolist()
     lo, hi = lo.copy(), hi.copy()
     down, up = -math.inf, math.inf
-    for _ in range(max_sweeps):
+    for _ in range(20):
         changed = False
         for i in range(n):
             p_lo, p_hi = piv_lo[i], piv_hi[i]
@@ -395,7 +393,7 @@ def default_basis(p: AvlpProblem) -> tuple[int, ...]:
     if not out.is_optimal:
         raise ValueError(f"midpoint LP is {out.status.name.lower()}, no basis")
     resid = p.A @ out.x - p.b
-    active = [int(i) for i in np.nonzero(resid >= -1e-8 * (1.0 + np.abs(p.b)))[0]]
+    active = [int(i) for i in np.nonzero(resid >= -margin(FEAS_TOL, p.b))[0]]
     chosen: list[int] = []
     for i in active:
         trial = chosen + [i]
@@ -463,14 +461,16 @@ def stable_optimal_value(p: AvlpProblem, B) -> tuple[float, np.ndarray]:
     return out.value, out.x
 
 
-def recover_x_star(p: AvlpProblem, B, y_star, tol: float = 1e-7) -> np.ndarray:
+def recover_x_star(p: AvlpProblem, B, y_star) -> np.ndarray:
     """Optimal point from the dual optimum: pick the matrix in the basis
     family whose transpose maps y* to c, then solve its square system.
 
     The construction scales each column of D_B by the residual ratio
     d_j = (A_B^T y* - c)_j / (D_B^T |y*|)_j and signs rows by sgn(y*);
     the residual bound |A_B^T y* - c| <= D_B^T |y*| guarantees |d| <= 1,
-    so the matrix stays inside the family.
+    so the matrix stays inside the family.  That bound is checked within
+    margin(VERIFY_TOL, c_j), and c^T x* must meet b_B^T y* within
+    margin(VERIFY_TOL, b_B^T y*).
     """
     B = list(B)
     y = np.asarray(y_star, dtype=float).ravel()
@@ -478,7 +478,7 @@ def recover_x_star(p: AvlpProblem, B, y_star, tol: float = 1e-7) -> np.ndarray:
     D_B = p.D[B, :]
     resid = A_B.T @ y - p.c
     denom = D_B.T @ np.abs(y)
-    if np.any(np.abs(resid) > denom + tol * (1.0 + np.abs(p.c))):
+    if np.any(np.abs(resid) > denom + margin(VERIFY_TOL, p.c)):
         raise ValueError("y* does not satisfy the family residual bound")
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(denom > 0, resid / np.where(denom > 0, denom, 1.0), 0.0)
@@ -490,6 +490,6 @@ def recover_x_star(p: AvlpProblem, B, y_star, tol: float = 1e-7) -> np.ndarray:
     if not ok:
         raise RuntimeError("recovered point is not feasible")
     f_star = float(p.b[B] @ y)
-    if abs(float(p.c @ x_star) - f_star) > tol * (1.0 + abs(f_star)):
+    if abs(float(p.c @ x_star) - f_star) > margin(VERIFY_TOL, f_star):
         raise RuntimeError("recovered point misses the certified value")
     return x_star

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestProblemFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"field '{field}' has a non-finite entry" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("A", ["a", 1]), ("b", [[1], [1, 2]]), ("m", "two")],
+    )
+    def test_malformed_number_named(self, tmp_path, capsys, field, value):
+        data = {"n": 1, "m": 2, "A": [1, -1], "D": [0, 0], "b": [1, 1], "c": [1]}
+        data[field] = value
+        path = write(tmp_path, "bad.json", data)
+        assert cli.main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: field '{field}'" in captured.err
 
     def test_raw_mode_normalizes(self, tmp_path, capsys):
         path = write(
@@ -264,6 +278,18 @@ class TestReformulate:
         assert cli.main(["reformulate", kind, inp, str(tmp_path / "out.json")]) == 1
         assert f"missing field {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, data, field",
+        [
+            ("ilp01", {"n": 2, "m": 1, "A": [1, "x"], "b": [1], "c": [1, 1]}, "'A'"),
+            ("disj-ineq", {"n": 1, "terms": [{"g": [1], "h": "x"}]}, "'terms[0].h'"),
+        ],
+    )
+    def test_malformed_number_is_named(self, tmp_path, capsys, kind, data, field):
+        inp = write(tmp_path, "in.json", data)
+        assert cli.main(["reformulate", kind, inp, str(tmp_path / "out.json")]) == 1
+        assert f"error: field {field}" in capsys.readouterr().err
+
 
 class TestPolygon2d:
     def test_manhattan_triangles(self, tmp_path, capsys):
@@ -332,6 +358,19 @@ class TestIntegrality:
         rep = json.loads(capsys.readouterr().out)
         assert rep["integral_for_all_b"] is False
         assert abs(rep["witness_det"]) == 2
+
+    def test_large_integers_are_exact(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "i.json",
+            {"n": 1, "m": 2, "A": [1e19, -1e19], "D": [0, 0], "b": [1, 1], "c": [1],
+             "integer": True},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["integrality", path]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["integral_for_all_b"] is False
+        assert rep["witness_det"] == 10**19
 
     def test_requires_integer_flag(self, tmp_path, capsys):
         path = write(

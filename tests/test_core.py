@@ -66,6 +66,17 @@ class TestAvlpProblem:
         with pytest.raises(ValueError):
             p.A[0, 0] = 5.0
 
+    @pytest.mark.parametrize("cls", [AvlpProblem, RawProblem])
+    def test_caller_arrays_stay_writeable_and_unshared(self, cls):
+        given = {"A": np.ones((2, 2)), "D": np.zeros((2, 2)), "b": np.ones(2), "c": np.ones(2)}
+        p = cls(**given)
+        for arr in given.values():
+            assert arr.flags.writeable
+            arr[...] = 7.0
+        assert np.array_equal(p.A, np.ones((2, 2)))
+        assert np.array_equal(p.D, np.zeros((2, 2)))
+        assert np.array_equal(p.b, np.ones(2)) and np.array_equal(p.c, np.ones(2))
+
     def test_with_rhs_and_objective(self):
         p = AvlpProblem([[1.0]], [[0.0]], [1.0], [1.0])
         assert p.with_rhs([2.0]).b[0] == 2.0
