@@ -19,7 +19,7 @@ from .core import (
     orthant_restriction,
     split_relaxation,
 )
-from .exact import find_feasible_point, sign_vectors
+from .exact import _solve, find_feasible_point, sign_vectors
 from .integrality import solve_rational
 from .simplex import FEAS_TOL, MEMBER_TOL, margin, solve_lp
 
@@ -117,7 +117,8 @@ def bounded_for_all_b(p: AvlpProblem) -> BoundednessVerdict:
         np.zeros(n),
     )
     for s in sign_vectors(n, list(range(n))):
-        out = solve_lp(orthant_restriction(capped.with_objective(s.as_array()), s))
+        lp = orthant_restriction(capped.with_objective(s.as_array()), s)
+        out = _solve(lp, f"orthant {s.entries}")
         if out.is_optimal and out.value > FEAS_TOL:
             return BoundednessVerdict(False, ray=out.x, sign=s)
     return BoundednessVerdict(True)

@@ -50,12 +50,16 @@ def _jsonify(obj):
     return obj
 
 
-def _floats(value, field) -> np.ndarray:
-    """value as a float array, or a ProblemFileError naming the field."""
+def _floats(value, field, ndim=None) -> np.ndarray:
+    """value as a float array (with ``ndim`` dimensions, if given), or a
+    ProblemFileError naming the field."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"field {field!r}: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ProblemFileError(f"field {field!r}: expected {('a number', 'a list')[ndim]}")
+    return arr
 
 
 def _count(data, field) -> int:
@@ -203,7 +207,8 @@ def _rows(data, key: str, g="g", h="h", where="") -> list[tuple[np.ndarray, floa
     rows = []
     for i, t in enumerate(_field(data, key, where)):
         at = f"{where}{key}[{i}]."
-        rows.append((_floats(_field(t, g, at), at + g), float(_floats(_field(t, h, at), at + h))))
+        g_val = _floats(_field(t, g, at), at + g)
+        rows.append((g_val, float(_floats(_field(t, h, at), at + h, 0))))
     return rows
 
 
@@ -241,9 +246,16 @@ def cmd_reformulate(args) -> int:
         pieces = []
         for i, piece in enumerate(_field(data, "pieces")):
             at = f"pieces[{i}]."
-            s = SignVector(tuple(int(v) for v in _field(piece, "s", at)))
-            pieces.append((s, _rows(piece, "rows", "a", "beta", at)))
+            s = _floats(_field(piece, "s", at), at + "s", 1)
+            if not np.isin(s, (-1.0, 1.0)).all():
+                raise ProblemFileError(f"field {at + 's'!r}: entries must be -1 or 1")
+            rows = _rows(piece, "rows", "a", "beta", at)
+            pieces.append((SignVector(tuple(int(v) for v in s)), rows))
         alpha = data.get("alpha", "auto")
+        if alpha != "auto":
+            alpha = float(_floats(alpha, "alpha", 0))
+            if not math.isfinite(alpha):
+                raise ProblemFileError(f"field 'alpha': {alpha} is not finite")
         try:
             enc, rep = reformulate.orthant_convex_to_avlp(pieces, alpha=alpha)
         except reformulate.OrthantConvexVerificationError as exc:
@@ -270,6 +282,8 @@ def cmd_polygon2d(args) -> int:
     if p.n != 2:
         print(f"error: polygon export needs n = 2, got n = {p.n}", file=sys.stderr)
         return 1
+    if not (math.isfinite(args.box) and args.box > 0):
+        raise ProblemFileError(f"--box {args.box!r}: must be a positive finite number")
     lo, hi = -args.box, args.box
     box_G = np.vstack([np.eye(2), -np.eye(2)])
     box_h = np.array([hi, hi, -lo, -lo])

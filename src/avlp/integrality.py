@@ -126,7 +126,7 @@ class UnimodularityResult:
     bad_det: int | None = None
 
 
-def is_unimodular(M, budget: int = DEFAULT_BUDGET) -> UnimodularityResult:
+def is_unimodular(M) -> UnimodularityResult:
     """Whether every nonsingular n x n column submatrix of the n x m
     matrix M has determinant +1 or -1."""
     rows = _to_int_matrix(M)
@@ -135,8 +135,8 @@ def is_unimodular(M, budget: int = DEFAULT_BUDGET) -> UnimodularityResult:
     if n > m:
         raise ValueError(f"need at least as many columns ({m}) as rows ({n})")
     count = math.comb(m, n)
-    if count > budget:
-        raise BudgetExceededError(f"{count} column subsets exceed budget {budget}")
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{count} column subsets exceed budget {DEFAULT_BUDGET}")
     for subset in itertools.combinations(range(m), n):
         d = _det([[row[j] for j in subset] for row in rows])
         if d not in (-1, 0, 1):
@@ -162,14 +162,14 @@ def _as_int_arrays(A, D):
     return A, D
 
 
-def _check_signs(A, D, signs, method, budget) -> IntegralityReport:
+def _check_signs(A, D, signs, method) -> IntegralityReport:
     n = A.shape[1]
     checked = 0
     for s in signs:
         sv = np.asarray(s, dtype=object)
         M = (A - D * sv).T  # n x m
         checked += 1
-        res = is_unimodular(M.tolist(), budget=budget)
+        res = is_unimodular(M.tolist())
         if not res.unimodular:
             return IntegralityReport(
                 False, tuple(int(v) for v in s), res.bad_subset, res.bad_det, checked, method
@@ -177,7 +177,7 @@ def _check_signs(A, D, signs, method, budget) -> IntegralityReport:
     return IntegralityReport(True, None, None, None, checked, method)
 
 
-def integrality_full(A, D, budget: int = DEFAULT_BUDGET) -> IntegralityReport:
+def integrality_full(A, D) -> IntegralityReport:
     """Vertices of {x : Ax - D|x| <= b} are integral for every integral b
     iff (A - D diag(s))^T is unimodular for all s in {+-1}^n."""
     A, D = _as_int_arrays(A, D)
@@ -185,13 +185,13 @@ def integrality_full(A, D, budget: int = DEFAULT_BUDGET) -> IntegralityReport:
     total = (2**n) * math.comb(m, n) if n <= m else 0
     if n > m:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
-    if total > budget:
-        raise BudgetExceededError(f"workload {total} exceeds budget {budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"workload {total} exceeds budget {DEFAULT_BUDGET}")
     signs = (s.entries for s in sign_vectors(n, list(range(n))))
-    return _check_signs(A, D, signs, "full", budget)
+    return _check_signs(A, D, signs, "full")
 
 
-def integrality_rank_one(A, D, budget: int = DEFAULT_BUDGET) -> IntegralityReport:
+def integrality_rank_one(A, D) -> IntegralityReport:
     """For rank-one D the full check reduces to sign vectors with at most
     two nonzero entries (over {+-1, 0}^n)."""
     A, D = _as_int_arrays(A, D)
@@ -199,19 +199,19 @@ def integrality_rank_one(A, D, budget: int = DEFAULT_BUDGET) -> IntegralityRepor
         raise ValueError("D must have rank exactly 1")
     n = A.shape[1]
     signs = [s for s in itertools.product((-1, 0, 1), repeat=n) if sum(v != 0 for v in s) <= 2]
-    return _check_signs(A, D, signs, "rank_one", budget)
+    return _check_signs(A, D, signs, "rank_one")
 
 
-def extended_signs_check(A, D, budget: int = DEFAULT_BUDGET) -> bool:
+def extended_signs_check(A, D) -> bool:
     """Given that the strict-sign check passes, unimodularity extends to
     all s in {+-1, 0}^n by determinant linearity; verified directly."""
     A, D = _as_int_arrays(A, D)
-    base = integrality_full(A, D, budget=budget)
+    base = integrality_full(A, D)
     if not base.integral_for_all_b:
         raise ValueError("extended check requires the strict-sign check to pass")
     n = A.shape[1]
     signs = itertools.product((-1, 0, 1), repeat=n)
-    return _check_signs(A, D, signs, "extended", budget).integral_for_all_b
+    return _check_signs(A, D, signs, "extended").integral_for_all_b
 
 
 def det_linearity_identity(A, D, s, i) -> bool:

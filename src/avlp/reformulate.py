@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import AvlpProblem, SignVector, orthant_restriction
-from .exact import find_feasible_point, sign_vectors
-from .simplex import MEMBER_TOL, VERIFY_TOL, LpStatus, margin, solve_lp
+from .exact import _solve, find_feasible_point, sign_vectors
+from .simplex import MEMBER_TOL, VERIFY_TOL, LpStatus, margin
+from .simplex import solve_lp  # noqa: F401  (a binding avlpbench's tracer test reads)
 
 
 class ReformulationError(ValueError):
@@ -457,7 +458,7 @@ def _verify_orthant_convex(pieces, emitted: AvlpProblem):
     offending = []
     for row, beta in enumerate(emitted.b):
         for sp, lp, rows_in_sp in orthants:
-            out = solve_lp(replace(lp, obj=rows_in_sp[row]))
+            out = _solve(replace(lp, obj=rows_in_sp[row]), f"orthant {sp.entries}")
             if out.status is LpStatus.UNBOUNDED or (
                 out.is_optimal and out.value > beta + margin(VERIFY_TOL, beta)
             ):
@@ -495,33 +496,24 @@ def orthant_convex_to_avlp(
         (abs(float(v)) for _, rows in pieces for a, _ in rows for v in np.ravel(a)),
         default=0.0,
     )
-    alpha0 = 1.0 + max_coef
-    candidates = [float(alpha)] if alpha != "auto" else None
-
-    def attempt(a_val):
-        emitted = AvlpProblem(*_emit_orthant_convex(pieces, n, a_val), np.zeros(n))
-        return _verify_orthant_convex(pieces, emitted), emitted
-
-    if candidates is None:
-        a_val = alpha0
-        cap = cap_factor * alpha0
-        offending = None
-        while a_val <= cap:
-            offending, problem = attempt(a_val)
-            if not offending:
-                break
-            a_val *= 2.0
-        else:
-            raise OrthantConvexVerificationError(offending, cap)
-        if offending:
-            raise OrthantConvexVerificationError(offending, a_val)
+    if alpha == "auto":
+        alpha0 = 1.0 + max_coef
+        limit = cap_factor * alpha0
+        doublings = (alpha0 * 2.0**i for i in itertools.count())
+        scales = itertools.takewhile(lambda a: a <= limit, doublings)
     else:
-        a_val = candidates[0]
-        if a_val <= 0:
+        limit = float(alpha)
+        if limit <= 0:
             raise ReformulationError("alpha must be positive")
-        offending, problem = attempt(a_val)
-        if offending:
-            raise OrthantConvexVerificationError(offending, a_val)
+        scales = [limit]
+    offending = None
+    for a_val in scales:
+        problem = AvlpProblem(*_emit_orthant_convex(pieces, n, a_val), np.zeros(n))
+        offending = _verify_orthant_convex(pieces, problem)
+        if not offending:
+            break
+    else:
+        raise OrthantConvexVerificationError(offending, limit)
 
     enc = Encoding(problem, original_vars=tuple(range(n)), aux_vars=())
     return enc, OrthantConvexReport(alpha=a_val, rows_emitted=problem.m)

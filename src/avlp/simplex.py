@@ -2,8 +2,10 @@
 
 Problems are stated as ``max obj^T x subject to G x <= h`` with free
 variables.  Internally the problem is converted to equality standard form
-by splitting ``x = u - v`` and adding slacks.  Outcomes carry verifiable
-certificates: a ray for unbounded problems and a Farkas vector for
+by splitting ``x = u - v`` and adding slacks; a row with h_i < 0 is negated
+and also gets an artificial column, the only artificials phase 1 needs.
+Outcomes carry verifiable certificates: a ray for unbounded problems and a
+Farkas vector, read from the phase-1 reduced costs of the slacks, for
 infeasible ones.
 
 Rows of G with no nonzero entry are decided before the tableau is built
@@ -133,7 +135,7 @@ class LpOutcome:
         return self.status is not LpStatus.INFEASIBLE
 
 
-def _pivot(T: np.ndarray, red: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, red: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     piv = T[row]
     colv = T[:, col].copy()
@@ -163,7 +165,7 @@ def _iterate(T, red, basis, bland_after: int, max_iters: int):
         rmin = ratios.min()
         scale = 1.0 + abs(rmin)
         ties = pos[ratios <= rmin + RATIO_TIE_TOL * scale]
-        row = int(min(ties, key=lambda r: basis[r]))
+        row = int(ties[np.argmin(basis[ties])])
         degen = degen + 1 if rmin <= PIVOT_TOL else 0
         _pivot(T, red, basis, row, col)
     raise SimplexError("simplex iteration limit exceeded")
@@ -180,7 +182,11 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     Deterministic: Dantzig pricing with a switch to Bland's rule after
     2*(k+d) consecutive degenerate pivots.  Phase 1 starts from a crash
     basis: the slack of every row with h_i >= 0 and the artificial of
-    every other row, so with h >= 0 phase 1 takes no pivot.
+    every other row, so with h >= 0 phase 1 takes no pivot.  Only the
+    rows with h_i < 0 have an artificial column, so the phase-1 tableau
+    of k rows with f such rows has 2d + k + f + 1 columns.  At a phase-1
+    optimum with a positive sum of artificials, the slack reduced costs,
+    clipped at 0, are a Farkas vector y: y >= 0, G^T y = 0, h^T y < 0.
     """
     G, h, obj = lp.G, lp.h, lp.obj
     k_all, d = G.shape
@@ -212,26 +218,26 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     b[flip] *= -1.0
 
     # crash basis: a row with h_i >= 0 starts with its slack basic, a
-    # flipped row with its artificial; every artificial keeps cost 1
-    T = np.hstack([A, np.eye(k), b[:, None]])
-    rows = np.arange(k)
-    basis = np.where(flip, N + rows, 2 * d + rows).tolist()
+    # flipped row with its artificial, columns N, N+1, ... in row order;
+    # every artificial keeps cost 1
+    f = int(flip.sum())
+    T = np.hstack([A, np.eye(k)[:, flip], b[:, None]])
+    basis = 2 * d + np.arange(k)
+    basis[flip] = N + np.arange(f)
     bland_after = 2 * (k + d)
     max_iters = 5000 + 200 * (k + N)
 
     # phase 1: minimize sum of artificials
-    red = np.zeros(N + k + 1)
-    red[N : N + k] = 1.0
-    red[: N + k] -= T[flip, : N + k].sum(axis=0)
+    red = np.zeros(N + f + 1)
+    red[N : N + f] = 1.0
+    red[: N + f] -= T[flip, : N + f].sum(axis=0)
     red[-1] = -T[flip, -1].sum()
     if _iterate(T, red, basis, bland_after, max_iters) is not None:
         raise SimplexError("phase-1 problem reported unbounded")
 
     if -red[-1] > margin(FEAS_TOL, np.max(np.abs(h), initial=0.0)):
-        # infeasible; recover Farkas vector from phase-1 duals
-        y = 1.0 - red[N : N + k]
-        p = np.where(flip, -y, y)
-        farkas = np.clip(-p, 0.0, None)
+        # infeasible; the phase-1 duals are the slack reduced costs
+        farkas = np.clip(red[2 * d : N], 0.0, None)
         if kept is not None:
             full = np.zeros(k_all)
             full[kept] = farkas
@@ -239,21 +245,17 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.INFEASIBLE, farkas=farkas)
 
     # drive leftover artificials out of the basis
-    drop_rows = []
-    for r in range(len(basis)):
-        if basis[r] >= N:
-            piv_cols = np.where(np.abs(T[r, :N]) > PIVOT_TOL)[0]
-            if piv_cols.size:
-                _pivot(T, red, basis, r, int(piv_cols[0]))
-            else:
-                drop_rows.append(r)
-    if drop_rows:
-        keep = [r for r in range(T.shape[0]) if r not in drop_rows]
-        T = T[keep]
-        basis = [basis[r] for r in keep]
+    keep = np.ones(k, dtype=bool)
+    for r in np.flatnonzero(basis >= N):
+        piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
+        if piv_cols.size:
+            _pivot(T, red, basis, r, int(piv_cols[0]))
+        else:
+            keep[r] = False
 
     # phase 2 on original cost (minimize -obj over split variables)
-    T = np.hstack([T[:, :N], T[:, -1:]])
+    T = np.hstack([T[keep, :N], T[keep, -1:]])
+    basis = basis[keep]
     cost = np.concatenate([-obj, obj, np.zeros(k)])
     red = np.zeros(N + 1)
     red[:N] = cost - cost[basis] @ T[:, :N]
@@ -263,8 +265,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if entering is not None:
         rz = np.zeros(N)
         rz[entering] = 1.0
-        for r, bi in enumerate(basis):
-            rz[bi] = -T[r, entering]
+        rz[basis] = -T[:, entering]
         ray = rz[:d] - rz[d : 2 * d]
         norm = np.max(np.abs(ray))
         if norm > 0:
@@ -272,7 +273,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.UNBOUNDED, ray=ray)
 
     z = np.zeros(N)
-    for r, bi in enumerate(basis):
-        z[bi] = T[r, -1]
+    z[basis] = T[:, -1]
     x = z[:d] - z[d : 2 * d]
     return LpOutcome(LpStatus.OPTIMAL, x=x, value=float(obj @ x))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from avlp import exact
 from avlp.analysis import (
     SizeLimitError,
     bounded_for_all_b,
@@ -11,6 +12,7 @@ from avlp.analysis import (
     feasible_for_all_b,
 )
 from avlp.core import AvlpProblem
+from avlp.simplex import SimplexError
 
 from .test_exact import manhattan_ball, set_partitioning
 
@@ -82,6 +84,14 @@ class TestBoundedness:
         # orthant the nonzero-column shortcut would skip
         v = bounded_for_all_b(AvlpProblem([[1.0]], [[0.0]], [1.0], [1.0]))
         assert not v.bounded
+
+    def test_simplex_error_names_orthant(self, monkeypatch):
+        def failing_solve_lp(lp):
+            raise SimplexError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(exact, "solve_lp", failing_solve_lp)
+        with pytest.raises(SimplexError, match=r"orthant \(-1, -1\): simplex iteration"):
+            bounded_for_all_b(manhattan_ball())
 
 
 def test_feasible_for_all_b():

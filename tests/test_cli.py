@@ -283,6 +283,10 @@ class TestReformulate:
         [
             ("ilp01", {"n": 2, "m": 1, "A": [1, "x"], "b": [1], "c": [1, 1]}, "'A'"),
             ("disj-ineq", {"n": 1, "terms": [{"g": [1], "h": "x"}]}, "'terms[0].h'"),
+            ("orthant-convex", {"pieces": [{"s": 5, "rows": []}]}, "'pieces[0].s'"),
+            ("orthant-convex", {"pieces": [{"s": ["a", 1], "rows": []}]}, "'pieces[0].s'"),
+            ("orthant-convex", {"alpha": [1], "pieces": [{"s": [1], "rows": []}]}, "'alpha'"),
+            ("orthant-convex", {"alpha": None, "pieces": [{"s": [1], "rows": []}]}, "'alpha'"),
         ],
     )
     def test_malformed_number_is_named(self, tmp_path, capsys, kind, data, field):
@@ -324,6 +328,13 @@ class TestPolygon2d:
             tmp_path, "one.json", {"n": 1, "m": 1, "A": [1], "D": [0], "b": [1], "c": [1]}
         )
         assert cli.main(["polygon2d", path, str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("box", ["inf", "nan", "-1", "0"])
+    def test_bad_box_flag_is_named(self, tmp_path, capsys, box):
+        out = tmp_path / "poly.csv"
+        assert cli.main(["polygon2d", manhattan_file(tmp_path), str(out), f"--box={box}"]) == 1
+        assert "--box" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestKkt:

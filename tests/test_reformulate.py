@@ -322,6 +322,15 @@ class TestOrthantConvex:
         assert not membership(enc.problem, np.array([2.0, 2.0]))[0]
         assert not membership(enc.problem, np.array([-1.5, 1.5]))[0]
 
+    def test_simplex_error_names_orthant(self, monkeypatch):
+        def failing_solve_lp(lp):
+            raise SimplexError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(exact, "solve_lp", failing_solve_lp)
+        piece = (SignVector((1,)), [(np.array([1.0]), 1.0)])
+        with pytest.raises(SimplexError, match=r"orthant \(-1,\): simplex iteration"):
+            orthant_convex_to_avlp([piece])
+
     def test_duplicate_orthant_rejected(self):
         piece = (SignVector((1,)), [(np.array([1.0]), 1.0)])
         with pytest.raises(ReformulationError):

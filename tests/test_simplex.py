@@ -76,6 +76,29 @@ def test_zero_objective_with_nonnegative_h_needs_no_pivot(monkeypatch):
     assert np.array_equal(out.x, np.zeros(4))
 
 
+def test_phase1_tableau_has_an_artificial_only_per_negative_rhs(monkeypatch):
+    # k = 5 non-empty rows (plus one empty row), d = 3 columns and f = 2
+    # rows with h_i < 0: [G, -G, I] takes 2d + k columns, the artificials
+    # f and the right-hand side 1
+    widths = []
+    iterate = simplex._iterate
+
+    def recording_iterate(T, *args):
+        widths.append(T.shape[1])
+        return iterate(T, *args)
+
+    monkeypatch.setattr(simplex, "_iterate", recording_iterate)
+    G = np.array(
+        [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 1.0], [0.0, -1.0, 0.0],
+         [1.0, 1.0, 1.0], [-2.0, 0.0, 1.0]]
+    )
+    h = np.array([4.0, 1.0, -1.0, 3.0, 5.0, -2.0])
+    out = solve_lp(LinearProgram(G, h, [1.0, 1.0, 0.0]))
+    assert out.status is LpStatus.OPTIMAL
+    assert np.all(G @ out.x <= h + 1e-9)
+    assert widths[0] == 2 * 3 + 5 + 2 + 1
+
+
 def assert_farkas(y, G, h):
     y = y / np.max(y)
     assert np.all(y >= 0.0)
