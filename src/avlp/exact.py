@@ -100,30 +100,45 @@ def _beats(bound: float, incumbent: float) -> bool:
 
 
 def _coordinate_bounds(p: AvlpProblem) -> tuple[LpStatus, np.ndarray, np.ndarray, int]:
-    """Bounds l <= x <= u over the split relaxation from 2n LPs, widened
-    outward by margin(PIVOT_TOL, bound), the kernel's optimality
-    tolerance.  A secant on these bounds leaves t_j - |x_j| of the widening
-    at the ends, so a wider margin (FEAS_TOL) would keep points on a box
-    face from passing membership and make the tree branch to the leaves.
+    """Bounds l <= x <= u, widened outward by margin(PIVOT_TOL, bound), the
+    kernel's optimality tolerance.  A secant on these bounds leaves
+    t_j - |x_j| of the widening at the ends, so a wider margin (FEAS_TOL)
+    would keep points on a box face from passing membership and make the
+    tree branch to the leaves.
+
+    Bounds come from singleton rows first: a row with one nonzero a in A[i]
+    and a zero D[i] states a x_j <= b_i, so u_j <= b_i / a for a > 0 and
+    l_j >= b_i / a for a < 0 (LP presolve; Andersen & Andersen, Math.
+    Prog. 71, 1995).  Only an end that no such row states finitely costs an
+    LP over the split relaxation.  Rows that contradict each other (l_j >
+    u_j) stay in every node LP, so the root node is infeasible.
 
     Returns (status, l, u, LPs solved): status is OPTIMAL when every
     coordinate is bounded, otherwise the status of the first LP that was
     not optimal (INFEASIBLE: the relaxation, and so the problem, is
     infeasible), with l and u None."""
-    root = split_relaxation(p)
     n = p.n
-    ends = np.zeros((2, n))
+    # ends[0] = u and ends[1] = -l: a x_j <= b_i caps ends[a < 0, j] at b_i / |a|
+    ends = np.full((2, n), np.inf)
+    rows = np.flatnonzero((np.count_nonzero(p.A, axis=1) == 1) & ~p.D.any(axis=1))
+    cols = np.nonzero(p.A[rows])[1]  # one per row, in row order
+    a = p.A[rows, cols]
+    with np.errstate(over="ignore"):
+        np.minimum.at(ends, (np.where(a > 0, 0, 1), cols), p.b[rows] / np.abs(a))
+    root = None if np.isfinite(ends).all() else split_relaxation(p)
     solved = 0
     for j in range(n):
         for row, sign in enumerate((1.0, -1.0)):
+            if np.isfinite(ends[row, j]):
+                continue
             obj = np.zeros(2 * n)
             obj[j], obj[n + j] = sign, -sign
             out = _solve(LinearProgram(root.G, root.h, obj), f"bound of x_{j}")
             solved += 1
             if not out.is_optimal:
                 return out.status, None, None, solved
-            ends[row, j] = sign * out.value
-    u, l = ends
+            ends[row, j] = out.value
+    u, l = ends[0], -ends[1]
     return LpStatus.OPTIMAL, l - margin(PIVOT_TOL, l), u + margin(PIVOT_TOL, u), solved
 
 
@@ -132,7 +147,9 @@ def _sign_tree(p: AvlpProblem) -> SolveReport | None:
     D, or None when the relaxation leaves some coordinate unbounded (or its
     bound LPs fail), so that only the orthant sweep can decide.
 
-    Each node fixes some signs and solves ``secant_relaxation`` on the root
+    The root bounds come from singleton rows, and from a split-relaxation
+    LP only for an end that no row states (``_coordinate_bounds``).  Each
+    node fixes some signs and solves ``secant_relaxation`` on those
     bounds; its value bounds every point of the node.  A node closes when
     its point is a member, or when every sign is fixed (its LP is then the
     orthant LP); otherwise it branches on the coordinate with the largest

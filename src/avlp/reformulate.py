@@ -477,8 +477,9 @@ def orthant_convex_to_avlp(
     input row becomes (alpha diag(s) e + a)^T x - alpha e^T |x| <= beta.
     With alpha='auto' the scale doubles from 1 + max|a| until an LP per
     (orthant, row) certifies every emitted row is implied by each orthant's
-    description; failure up to the cap raises, which happens exactly for
-    sets with an unbounded boundary direction orthogonal to an axis.
+    description; failure up to the cap, cap_factor >= 1 times the first
+    scale, raises, which happens exactly for sets with an unbounded
+    boundary direction orthogonal to an axis.
     """
     pieces = [(s if isinstance(s, SignVector) else SignVector(tuple(s)), list(rows)) for s, rows in pieces]
     if not pieces:
@@ -497,6 +498,8 @@ def orthant_convex_to_avlp(
         default=0.0,
     )
     if alpha == "auto":
+        if cap_factor < 1:
+            raise ReformulationError("cap_factor must be at least 1")
         alpha0 = 1.0 + max_coef
         limit = cap_factor * alpha0
         doublings = (alpha0 * 2.0**i for i in itertools.count())

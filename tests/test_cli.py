@@ -435,6 +435,20 @@ class TestStability:
         assert "--basis" in capsys.readouterr().err
 
 
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once and reuses it
+    assert cli.build_parser() is cli.build_parser()
+    path = manhattan_file(tmp_path)
+    assert cli.main(["solve", path, "--relax"]) == 0
+    assert "relaxation_bound" in json.loads(capsys.readouterr().out)
+    assert cli.main(["solve", path]) == 0
+    assert "relaxation_bound" not in json.loads(capsys.readouterr().out)
+    assert cli.main(["solve", path, "--text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "schema_version: 1"
+    assert not any(line.startswith("relaxation_bound") for line in lines)
+
+
 def test_determinism(tmp_path, capsys):
     path = manhattan_file(tmp_path)
     cli.main(["solve", path])

@@ -13,7 +13,7 @@ from avlp.exact import (
     solve_exact,
     vertex_candidacy,
 )
-from avlp.simplex import LpOutcome, LpStatus, SimplexError, solve_lp
+from avlp.simplex import PIVOT_TOL, LpOutcome, LpStatus, SimplexError, margin, solve_lp
 
 from .oracles import oracle_solve, random_integer_instance
 
@@ -226,15 +226,66 @@ class TestSignTree:
         assert rep.witness_sign.entries == (1, 0)
 
     def test_node_names_itself_on_simplex_error(self, monkeypatch):
-        calls = []
+        p = manhattan_ball()
+        p = boxed(p.A, p.D, p.b, p.c, 1.0)
 
         def failing_node_lp(lp):
-            calls.append(lp)
-            if len(calls) > 4:  # the 2n bound LPs pass
+            if lp.num_vars == p.n:  # a node LP; bound LPs have 2n columns
                 raise SimplexError("simplex iteration limit exceeded")
             return solve_lp(lp)
 
         monkeypatch.setattr(exact, "solve_lp", failing_node_lp)
-        p = manhattan_ball()
         with pytest.raises(SimplexError, match=r"node \(0, 0\): simplex iteration"):
-            solve_exact(boxed(p.A, p.D, p.b, p.c, 1.0))
+            solve_exact(p)
+
+    def test_box_rows_leave_no_bound_lp(self):
+        p = manhattan_ball()
+        status, l, u, solved = exact._coordinate_bounds(boxed(p.A, p.D, p.b, p.c, 3.0))
+        assert (status, solved) == (LpStatus.OPTIMAL, 0)
+        assert np.array_equal(u, np.full(2, 3.0 + margin(PIVOT_TOL, 3.0)))
+        assert np.array_equal(l, -u)
+
+    def test_one_lp_per_end_no_row_states(self):
+        # x1 <= 2 and x2 >= -3 are rows; -x1 - x2 <= 1 and x2 - x1 <= 4
+        # leave x1 >= -2.5 and x2 <= 6 to the LPs
+        A = [[1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]
+        D = [[0.0, 0.0]] * 4 + [[1.0, 1.0]]
+        p = AvlpProblem(A, D, [2.0, 3.0, 1.0, 4.0, 0.0], [1.0, 1.0])
+        status, l, u, solved = exact._coordinate_bounds(p)
+        assert (status, solved) == (LpStatus.OPTIMAL, 2)
+        assert l == pytest.approx([-2.5, -3.0], abs=1e-8)
+        assert u == pytest.approx([2.0, 6.0], abs=1e-8)
+
+    def test_row_with_absolute_values_is_no_bound(self):
+        # x1 - |x2| <= 1 does not cap x1: the box row x1 <= 5 does
+        p = boxed([[1.0, 0.0]], [[0.0, 1.0]], [1.0], [1.0, 0.0], 5.0)
+        _, _, u, solved = exact._coordinate_bounds(p)
+        assert solved == 0
+        assert u[0] == 5.0 + margin(PIVOT_TOL, 5.0)
+        assert solve_exact(p).f_star == pytest.approx(5.0, abs=1e-9)
+
+    def test_negative_coefficient_row_is_a_lower_bound(self):
+        # -2 x1 <= 3 is x1 >= -1.5
+        p = AvlpProblem([[-2.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]], [3.0, 1.0, 0.0], [-1.0])
+        _, l, _, solved = exact._coordinate_bounds(p)
+        assert solved == 0
+        assert l[0] == -1.5 - margin(PIVOT_TOL, -1.5)
+        assert solve_exact(p).f_star == pytest.approx(1.5, abs=1e-9)
+
+    def test_row_bound_that_overflows_is_no_bound(self):
+        # 1e300 / 1e-300 overflows to inf; the row x <= 5 still caps x
+        p = AvlpProblem([[1e-300], [1.0], [-1.0], [0.0]], [[0.0], [0.0], [0.0], [1.0]],
+                        [1e300, 5.0, 5.0, 0.0], [1.0])
+        _, _, u, solved = exact._coordinate_bounds(p)
+        assert solved == 0
+        assert u[0] == 5.0 + margin(PIVOT_TOL, 5.0)
+
+    def test_contradictory_rows_are_infeasible(self):
+        # x2 <= -1 and x2 >= 1 as rows, x1 boxed, and x1 - |x1| - |x2| <= 1
+        A = [[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+        D = [[0.0, 0.0]] * 4 + [[1.0, 1.0]]
+        p = AvlpProblem(A, D, [-1.0, -1.0, 2.0, 2.0, 1.0], [1.0, 0.0])
+        rep = solve_exact(p)
+        assert rep.status == SolveStatus.INFEASIBLE
+        assert (rep.nodes_solved, rep.orthants_solved) == (1, 0)
+        assert oracle_solve(p.A, p.D, p.b, p.c)[0] == "infeasible"

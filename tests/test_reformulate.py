@@ -260,6 +260,14 @@ class TestOrthantConvex:
         for pt, expect in [((0.5, 0.4), True), ((0.8, 0.8), False), ((-1.0, 0.0), True)]:
             assert membership(enc.problem, np.array(pt))[0] == expect
 
+    def test_cap_factor_below_one_is_rejected(self):
+        # below 1 the cap lies under the first scale, so no scale would be tried
+        diamond = [(SignVector((s1, s2)), [(np.array([s1, s2], dtype=float), 1.0)])
+                   for s1 in (1, -1) for s2 in (1, -1)]
+        assert orthant_convex_to_avlp(diamond, alpha=2.0)[1].alpha == 2.0
+        with pytest.raises(ReformulationError, match="cap_factor must be at least 1"):
+            orthant_convex_to_avlp(diamond, cap_factor=0.5)
+
     def test_unbounded_boundary_direction_fails_verification(self):
         # {x1 <= -1, x2 >= 1} u {-x1 + x2 <= 0, x2 >= 1}: the boundary
         # half-line parallel to the x2 axis defeats every scaling
