@@ -63,6 +63,14 @@ def _floats(value, field, ndim=None) -> np.ndarray:
     return arr
 
 
+def _finite(arr, field) -> np.ndarray:
+    """arr, or a ProblemFileError naming the field when an entry of arr is
+    not finite."""
+    if not np.isfinite(arr).all():
+        raise ProblemFileError(f"field {field!r} has a non-finite entry")
+    return arr
+
+
 def _count(data, field) -> int:
     """data[field] as an int, or a ProblemFileError naming the field."""
     value = _field(data, field)
@@ -208,8 +216,8 @@ def _rows(data, key: str, g="g", h="h", where="") -> list[tuple[np.ndarray, floa
     rows = []
     for i, t in enumerate(_field(data, key, where)):
         at = f"{where}{key}[{i}]."
-        g_val = _floats(_field(t, g, at), at + g)
-        rows.append((g_val, float(_floats(_field(t, h, at), at + h, 0))))
+        g_val = _finite(_floats(_field(t, g, at), at + g), at + g)
+        rows.append((g_val, float(_finite(_floats(_field(t, h, at), at + h, 0), at + h))))
     return rows
 
 
@@ -238,9 +246,10 @@ def cmd_reformulate(args) -> int:
         n = _count(data, "n")
         pieces = []
         for i, piece in enumerate(_field(data, "pieces")):
-            h = _floats(_field(piece, "h", f"pieces[{i}]."), f"pieces[{i}].h")
+            h = _finite(_floats(_field(piece, "h", f"pieces[{i}]."), f"pieces[{i}].h"),
+                        f"pieces[{i}].h")
             G = _matrix(_field(piece, "G", f"pieces[{i}]."), h.size, n, f"pieces[{i}].G")
-            pieces.append(reformulate.Polyhedron(G, h))
+            pieces.append(reformulate.Polyhedron(_finite(G, f"pieces[{i}].G"), h))
         enc = reformulate.union_to_avlp(reformulate.UnionOfPolyhedra(tuple(pieces)))
         out = _encoding_file(enc)
     elif kind == "orthant-convex":

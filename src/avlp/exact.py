@@ -8,7 +8,10 @@ searches a tree over those signs instead and typically solves a few dozen
 LPs; otherwise it solves all 2^l orthant LPs.  That sweep and
 ``find_feasible_point`` share one orthant loop, ``_orthant_search``; every
 other per-orthant sweep of the package draws its signs from
-``sign_vectors``.
+``sign_vectors``.  The orthant loop applies ``solve_lp``'s empty-row rule
+once per problem: an orthant in which a violated row of the problem
+vanishes is decided infeasible, with the Farkas vector ``solve_lp`` would
+give, before its LP is built.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ class SolveStatus:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Verdict of ``solve_exact``.  ``orthants_solved`` counts the orthant
-    LPs of the enumeration; ``nodes_solved`` counts the LPs of the sign
-    tree (its bound LPs, its node LPs and at most one orthant LP that
-    polishes its optimum).  One path runs, so one of the
-    two is 0."""
+    """Verdict of ``solve_exact``.  ``orthants_solved`` counts the orthants
+    of the enumeration, each decided by its LP or by the empty-row rule of
+    ``_orthant_search``; ``nodes_solved`` counts the LPs of the sign tree
+    (its bound LPs, its node LPs and at most one orthant LP that polishes
+    its optimum).  One path runs, so one of the two is 0."""
 
     status: str
     f_star: float | None = None
@@ -83,12 +86,48 @@ def _solve(lp: LinearProgram, where: str) -> LpOutcome:
     return out
 
 
+def _empty_rows(p: AvlpProblem, enumerated: list[int]):
+    """The rows that ``solve_lp``'s empty-row rule rejects in some orthant,
+    as arrays (rows, masks, values) over the orthant number t of
+    sign_vectors order; empty when there are none or more than 62 signs.
+
+    In orthant s row i of the orthant LP is A_i - D_i diag(s), which is
+    exactly zero iff |A_ij| == D_ij on every column and s_j = sign(A_ij)
+    on the support of A_i; s_j = +1 on the q-th enumerated column sets bit
+    l-1-q of t.  Such a row is empty in orthant t iff t & mask == value,
+    and rejected iff b_i < -margin(FEAS_TOL, b_i)."""
+    l = len(enumerated)
+    if l > 62:  # t would overflow int64; 2^62 orthants are out of reach anyway
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    rows = np.flatnonzero((p.b < -margin(FEAS_TOL, p.b)) & (np.abs(p.A) == p.D).all(axis=1))
+    bits = np.zeros(p.n, dtype=np.int64)
+    bits[enumerated] = 1 << np.arange(l - 1, -1, -1, dtype=np.int64)
+    masks = np.where(p.A[rows] != 0, bits, 0).sum(axis=1)
+    values = np.where(p.A[rows] > 0, bits, 0).sum(axis=1)
+    return rows, masks, values
+
+
 def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
     """Solve the orthant LP of every sign vector over the nonzero columns
     of D, yielding (sign, outcome) in sign_vectors order.  A SimplexError
-    is re-raised naming the orthant it came from."""
-    for s in sign_vectors(p.n, nonzero_columns(p.D)):
-        yield s, _solve(orthant_restriction(p, s), f"orthant {s.entries}")
+    is re-raised naming the orthant it came from.
+
+    The empty-row rule of ``solve_lp`` is applied once per problem
+    (``_empty_rows``), before any LP is built: an orthant in which a
+    violated row of the problem vanishes gets the outcome ``solve_lp``
+    would return, INFEASIBLE with Farkas vector e_i of the first such
+    row, and no LP."""
+    enumerated = nonzero_columns(p.D)
+    rows, masks, values = _empty_rows(p, enumerated)
+    for t, s in enumerate(sign_vectors(p.n, enumerated)):
+        hit = rows[t & masks == values] if rows.size else rows
+        if hit.size:
+            farkas = np.zeros(p.m + len(enumerated))
+            farkas[hit[0]] = 1.0
+            yield s, LpOutcome(LpStatus.INFEASIBLE, farkas=farkas)
+        else:
+            yield s, _solve(orthant_restriction(p, s), f"orthant {s.entries}")
 
 
 def _beats(bound: float, incumbent: float) -> bool:
@@ -270,7 +309,8 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
     relaxation bounds every coordinate, a sign-tree branch-and-bound
     decides (``nodes_solved`` LPs); its witness sign is the
     lexicographically smallest orthant containing x_star.  Otherwise every
-    orthant LP is solved (``orthants_solved`` LPs): any unbounded orthant
+    orthant is decided (``orthants_solved``, by its LP or by the empty-row
+    rule of ``_orthant_search``): any unbounded orthant
     makes the problem unbounded, and ties between optimal orthants go to
     the lexicographically smallest sign vector.  Either way the optimal
     point is checked for membership before it is returned; a point that

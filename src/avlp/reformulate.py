@@ -66,6 +66,8 @@ def _slice_membership(enc: Encoding, x) -> bool:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != len(orig):
         raise ReformulationError(f"point has length {x.shape[0]}, expected {len(orig)}")
+    if not np.isfinite(x).all():
+        raise ReformulationError("point has a non-finite entry")
     aux = np.ones(p.n, dtype=bool)
     aux[orig] = False
     rhs = p.b - p.A[:, orig] @ x + p.D[:, orig] @ np.abs(x)
@@ -318,6 +320,9 @@ class Polyhedron:
         h = np.asarray(self.h, dtype=float).ravel()
         if G.shape[0] != h.shape[0]:
             raise ReformulationError(f"polyhedron rows {G.shape[0]} != rhs {h.shape[0]}")
+        for name, arr in (("G", G), ("h", h)):
+            if not np.isfinite(arr).all():
+                raise ReformulationError(f"polyhedron field {name!r} has a non-finite entry")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
 
@@ -382,23 +387,14 @@ def union_to_avlp(u: UnionOfPolyhedra) -> Encoding:
     n = u.n
     k = math.ceil(math.log2(m)) if m > 1 else 0
     codes = _selector_codes(m)
-    A_blocks = []
-    D_blocks = []
-    b_parts = []
-    for piece, code in zip(u.pieces, codes):
-        rows = piece.G.shape[0]
-        zA = np.zeros((rows, k))
-        zD = np.zeros((rows, k))
-        for j, sj in enumerate(code):
-            zA[:, j] = sj
-            zD[:, j] = 1.0
-        A_blocks.append(np.hstack([piece.G, zA]))
-        D_blocks.append(np.hstack([np.zeros_like(piece.G), zD]))
-        b_parts.append(piece.h)
+    # row i of C is piece i's code, 0 past a short one; each piece's rows repeat it
+    C = np.array([code + (0,) * (k - len(code)) for code in codes], dtype=float).reshape(m, k)
+    zA = np.repeat(C, [piece.G.shape[0] for piece in u.pieces], axis=0)
+    G = np.vstack([piece.G for piece in u.pieces])
     problem = AvlpProblem(
-        np.vstack(A_blocks),
-        np.vstack(D_blocks),
-        np.concatenate(b_parts),
+        np.hstack([G, zA]),
+        np.hstack([np.zeros_like(G), np.abs(zA)]),
+        np.concatenate([piece.h for piece in u.pieces]),
         np.zeros(n + k),
     )
     return Encoding(

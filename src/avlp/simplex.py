@@ -140,7 +140,7 @@ def _pivot(T: np.ndarray, red: np.ndarray, basis: np.ndarray, row: int, col: int
     piv = T[row]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    T -= np.outer(colv, piv)
+    T -= colv[:, None] * piv
     red -= red[col] * piv
     basis[row] = col
 
@@ -150,13 +150,11 @@ def _iterate(T, red, basis, bland_after: int, max_iters: int):
     entering column index if an unbounded direction is detected."""
     degen = 0
     for _ in range(max_iters):
-        cols = np.where(red[:-1] < -PIVOT_TOL)[0]
-        if cols.size == 0:
+        col = int(np.argmin(red[:-1]))  # Dantzig: the first most negative
+        if red[col] >= -PIVOT_TOL:
             return None
         if degen > bland_after:
-            col = int(cols[0])  # Bland's rule
-        else:
-            col = int(cols[np.argmin(red[cols])])
+            col = int(np.flatnonzero(red[:-1] < -PIVOT_TOL)[0])  # Bland's rule
         colvals = T[:, col]
         pos = np.where(colvals > PIVOT_TOL)[0]
         if pos.size == 0:
@@ -165,7 +163,7 @@ def _iterate(T, red, basis, bland_after: int, max_iters: int):
         rmin = ratios.min()
         scale = 1.0 + abs(rmin)
         ties = pos[ratios <= rmin + RATIO_TIE_TOL * scale]
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[0] if ties.size == 1 else ties[np.argmin(basis[ties])])
         degen = degen + 1 if rmin <= PIVOT_TOL else 0
         _pivot(T, red, basis, row, col)
     raise SimplexError("simplex iteration limit exceeded")

@@ -137,3 +137,13 @@ def random_integer_instance(rng, n_max=3, m_max=5, span=3):
     b = rng.integers(-span, span + 1, size=m)
     c = rng.integers(-span, span + 1, size=n)
     return A, D, b, c
+
+
+def assert_same_outcome(out, ref):
+    """Two LP outcomes agree: the same status, and bit for bit the same x,
+    value, ray and Farkas vector."""
+    assert out.status is ref.status
+    for field in ("x", "value", "ray", "farkas"):
+        a, b = getattr(out, field), getattr(ref, field)
+        assert (a is None) == (b is None), field
+        assert a is None or np.array_equal(a, b), field

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -293,6 +294,27 @@ class TestReformulate:
         inp = write(tmp_path, "in.json", data)
         assert cli.main(["reformulate", kind, inp, str(tmp_path / "out.json")]) == 1
         assert f"error: field {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, data, field",
+        [
+            ("union", {"n": 1, "pieces": [{"G": [1, -1], "h": [1, 0]},
+                                         {"G": [1, -1], "h": [math.inf, 0]}]}, "pieces[1].h"),
+            ("union", {"n": 1, "pieces": [{"G": [1, -1], "h": [1, 0]},
+                                         {"G": [math.nan, -1], "h": [1, 0]}]}, "pieces[1].G"),
+            ("disj-ineq", {"n": 1, "terms": [{"g": [1], "h": math.inf}, {"g": [-1], "h": 0}]},
+             "terms[0].h"),
+            ("disj-eq",
+             {"n": 1, "left": [{"g": [math.nan], "h": 1}], "right": [{"g": [1], "h": 2}]},
+             "left[0].g"),
+            ("orthant-convex", {"pieces": [{"s": [1], "rows": [{"a": [1], "beta": -math.inf}]}]},
+             "pieces[0].rows[0].beta"),
+        ],
+    )
+    def test_non_finite_entry_is_named(self, tmp_path, capsys, kind, data, field):
+        inp = write(tmp_path, "in.json", data)
+        assert cli.main(["reformulate", kind, inp, str(tmp_path / "out.json")]) == 1
+        assert f"error: field '{field}' has a non-finite entry" in capsys.readouterr().err
 
 
 class TestPolygon2d:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avlp import exact
-from avlp.core import AvlpProblem, membership, nonzero_columns
+from avlp.core import AvlpProblem, membership, nonzero_columns, orthant_restriction
 from avlp.exact import (
     SolveStatus,
     find_feasible_point,
@@ -15,7 +15,7 @@ from avlp.exact import (
 )
 from avlp.simplex import PIVOT_TOL, LpOutcome, LpStatus, SimplexError, margin, solve_lp
 
-from .oracles import oracle_solve, random_integer_instance
+from .oracles import assert_same_outcome, oracle_solve, random_integer_instance
 
 
 def manhattan_ball():
@@ -289,3 +289,82 @@ class TestSignTree:
         assert rep.status == SolveStatus.INFEASIBLE
         assert (rep.nodes_solved, rep.orthants_solved) == (1, 0)
         assert oracle_solve(p.A, p.D, p.b, p.c)[0] == "infeasible"
+
+
+def with_row(A, D, b, c, a, d, beta):
+    """The problem with the row a x - d|x| <= beta appended."""
+    return AvlpProblem(np.vstack([A, a]), np.vstack([D, d]), np.append(b, beta), c)
+
+
+def screen_case(rng, kind):
+    """A seeded integer problem with a row the screen must get right, and
+    the share of its orthants that may still need an LP."""
+    A, D, b, c = random_integer_instance(rng, n_max=4, m_max=5)
+    n = A.shape[1]
+    signs = rng.choice([-1.0, 1.0], size=n)
+    if kind == "no signs":  # l = 0, plus a violated zero row
+        D = np.zeros_like(D)
+        return with_row(A, D, b, c, np.zeros(n), np.zeros(n), -1.0), 0.0
+    if kind == "zero row":
+        return with_row(A, D, b, c, np.zeros(n), np.zeros(n), -2.0), 0.0
+    d = rng.integers(1, 4, size=n).astype(float)
+    if kind == "zero D column":  # |a| == d except on a column of D that is zero
+        D[:, 0] = 0
+        d[0] = 0.0
+        a = signs * d
+        a[0] = 1.0
+        return with_row(A, D, b, c, a, d, -1.0), 1.0
+    if kind == "unequal":  # the same support, but |a_j| != d_j on one column
+        a = signs * d
+        a[-1] += signs[-1]
+        return with_row(A, D, b, c, a, d, -1.0), 1.0
+    # "half": one support column, so the row vanishes in half the orthants
+    j = int(rng.integers(n))
+    a, d1 = np.zeros(n), np.zeros(n)
+    d1[j] = d[j]
+    a[j] = signs[j] * d[j]
+    return with_row(A, D, b, c, a, d1, -1.0), 0.5
+
+
+def record_posed_lps(monkeypatch):
+    """Patch ``exact.solve_lp`` to record every LP it solves."""
+    posed = []
+
+    def recording_solve_lp(lp):
+        posed.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(exact, "solve_lp", recording_solve_lp)
+    return posed
+
+
+SCREEN_CASES = ["no signs", "zero row", "zero D column", "unequal", "half"]
+
+
+class TestEmptyRowScreen:
+    @pytest.mark.parametrize("seed, kind", enumerate(SCREEN_CASES))
+    def test_orthant_search_equals_solve_lp_orthant_by_orthant(self, monkeypatch, seed, kind):
+        rng = np.random.default_rng(seed)
+        posed = record_posed_lps(monkeypatch)
+        for _ in range(40):
+            p, share = screen_case(rng, kind)
+            posed.clear()
+            searched = list(exact._orthant_search(p))
+            signs = list(sign_vectors(p.n, nonzero_columns(p.D)))
+            assert [s for s, _ in searched] == signs
+            for s, out in searched:
+                assert_same_outcome(out, solve_lp(orthant_restriction(p, s)))
+            assert len(posed) <= share * len(signs)
+
+    def test_sweep_keeps_verdict_and_orthant_count(self, monkeypatch):
+        # x1 - |x1| <= -1 vanishes where x1 >= 0, and the split relaxation
+        # is unbounded in x1, so the sweep decides; x2 - |x2| <= 0 vanishes
+        # where x2 >= 0 but holds
+        p = AvlpProblem([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0], [1.0, 0.0])
+        posed = record_posed_lps(monkeypatch)
+        rep = solve_exact(p)
+        assert rep.status == SolveStatus.OPTIMAL and rep.nodes_solved == 0
+        assert rep.f_star == -0.5 and rep.witness_sign.entries == (-1, -1)
+        assert rep.orthants_solved == 4
+        assert [lp.num_vars for lp in posed].count(p.n) == 2  # orthants (+1, *) screened
+        assert oracle_solve(p.A, p.D, p.b, p.c) == ("optimal", -0.5)

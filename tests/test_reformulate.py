@@ -19,7 +19,9 @@ from avlp.reformulate import (
     union_membership,
     union_to_avlp,
 )
-from avlp.simplex import SimplexError, solve_lp
+from avlp.simplex import LinearProgram, LpStatus, SimplexError, solve_lp
+
+from .oracles import assert_same_outcome
 
 
 class TestIlp01:
@@ -111,6 +113,36 @@ def record_posed_lps(monkeypatch):
     return posed
 
 
+def record_orthant_outcomes(monkeypatch):
+    """Patch ``exact._orthant_search`` to record every (sign, outcome) it
+    yields; returns the list they are appended to."""
+    searched = []
+    search = exact._orthant_search
+
+    def recording_search(p):
+        for s, out in search(p):
+            searched.append((s, out))
+            yield s, out
+
+    monkeypatch.setattr(exact, "_orthant_search", recording_search)
+    return searched
+
+
+def spelled_slice_lps(enc, x):
+    """(sign, LP) for every z orthant of a union encoding's slice at x, in
+    sign order: rows [A_z - D_z diag(s); -diag(s)], right-hand side
+    [b - A_x x; 0], zero objective."""
+    n = len(enc.original_vars)
+    Az, Dz = enc.problem.A[:, n:], enc.problem.D[:, n:]
+    k = Az.shape[1]
+    h = np.concatenate([enc.problem.b - enc.problem.A[:, :n] @ x, np.zeros(k)])
+    lps = []
+    for sig in itertools.product((-1, 1), repeat=k):
+        s = np.array(sig, dtype=float)
+        lps.append((sig, LinearProgram(np.vstack([Az - Dz * s, -np.diag(s)]), h, np.zeros(k))))
+    return lps
+
+
 def interval(lo, hi):
     return Polyhedron([[1.0], [-1.0]], [hi, -lo])
 
@@ -178,17 +210,26 @@ class TestUnion:
         u = UnionOfPolyhedra((interval(0, 1), interval(2, 3), interval(4, 5)))
         enc = union_to_avlp(u)
         posed = record_posed_lps(monkeypatch)
+        searched = record_orthant_outcomes(monkeypatch)
         x = np.array([3.5])  # in no piece, so every z orthant is searched
         assert not union_membership(enc, x)
-        Az, Dz = enc.problem.A[:, 1:], enc.problem.D[:, 1:]
-        signs = list(itertools.product((-1, 1), repeat=2))
-        assert len(posed) == len(signs)
-        for lp, sig in zip(posed, signs):
-            sig = np.array(sig, dtype=float)
-            assert np.array_equal(lp.G, np.vstack([Az - Dz * sig, -np.diag(sig)]))
-            h = np.concatenate([enc.problem.b - enc.problem.A[:, :1] @ x, [0.0, 0.0]])
-            assert np.array_equal(lp.h, h)
-            assert not lp.obj.any()
+        assert posed == []  # each orthant's selected piece has a violated empty row
+        spelled = spelled_slice_lps(enc, x)
+        assert [s.entries for s, _ in searched] == [sig for sig, _ in spelled]
+        assert len(searched) == 4
+        for (_, out), (_, lp) in zip(searched, spelled):
+            assert_same_outcome(out, solve_lp(lp))
+            assert out.status is LpStatus.INFEASIBLE
+
+        # a point in the last piece: orthant (-1, -1) selects it, so its
+        # spelled LP is posed and is feasible
+        searched.clear()
+        assert union_membership(enc, [4.5])
+        sig, lp = spelled_slice_lps(enc, np.array([4.5]))[0]
+        assert [s.entries for s, _ in searched] == [sig]
+        assert len(posed) == 1
+        assert np.array_equal(posed[0].G, lp.G) and np.array_equal(posed[0].h, lp.h)
+        assert not posed[0].obj.any()
 
     @pytest.mark.parametrize("query", [union_membership, encoding_membership])
     def test_outside_query_decides_every_orthant_without_pivot(self, monkeypatch, query):
@@ -197,6 +238,7 @@ class TestUnion:
 
         monkeypatch.setattr(simplex, "_pivot", no_pivot)
         posed = record_posed_lps(monkeypatch)
+        searched = record_orthant_outcomes(monkeypatch)
         boxes = tuple(
             Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [3 * i + 1, 3 * j + 1, -3 * i, -3 * j])
             for i in range(4)
@@ -204,8 +246,15 @@ class TestUnion:
         )
         enc = union_to_avlp(UnionOfPolyhedra(boxes))
         assert enc.num_aux == 4
-        assert not query(enc, [4.5, 1.5])
-        assert len(posed) == 16
+        x = np.array([4.5, 1.5])
+        assert not query(enc, x)
+        assert posed == []
+        spelled = spelled_slice_lps(enc, x)
+        assert [s.entries for s, _ in searched] == [sig for sig, _ in spelled]
+        assert len(searched) == 16
+        for (_, out), (_, lp) in zip(searched, spelled):
+            assert_same_outcome(out, solve_lp(lp))
+            assert out.status is LpStatus.INFEASIBLE
 
     def test_encoding_membership_poses_the_union_slice(self, monkeypatch):
         enc = union_to_avlp(
@@ -232,6 +281,20 @@ class TestUnion:
         enc, _ = orthant_convex_to_avlp(pieces)
         for x in itertools.product(np.linspace(-1.5, 1.5, 13), repeat=2):
             assert encoding_membership(enc, x) == membership(enc.problem, np.array(x))[0], x
+
+    @pytest.mark.parametrize("query", [union_membership, encoding_membership])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named(self, query, value):
+        enc = union_to_avlp(UnionOfPolyhedra((interval(0, 1), interval(2, 3))))
+        with pytest.raises(ReformulationError, match="point has a non-finite entry"):
+            query(enc, [value])
+
+    @pytest.mark.parametrize("field", ["G", "h"])
+    def test_polyhedron_rejects_non_finite_data(self, field):
+        data = {"G": np.array([[1.0], [-1.0]]), "h": np.array([1.0, 0.0])}
+        data[field].flat[0] = np.inf
+        with pytest.raises(ReformulationError, match=f"field '{field}' has a non-finite entry"):
+            Polyhedron(data["G"], data["h"])
 
     @pytest.mark.parametrize("query", [union_membership, encoding_membership])
     def test_membership_names_orthant_on_simplex_error(self, monkeypatch, query):

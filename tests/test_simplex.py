@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from avlp import simplex
 from avlp.simplex import LinearProgram, LpStatus, solve_lp
 
-from .oracles import oracle_solve
+from .oracles import assert_same_outcome, oracle_solve
 
 
 def test_optimal_square():
@@ -221,3 +221,99 @@ def test_row_permutation_invariance(seed):
     assert out1.status is out2.status
     if out1.status is LpStatus.OPTIMAL:
         assert out1.value == pytest.approx(out2.value, abs=1e-8)
+
+
+def record_pivots(monkeypatch, pivot):
+    """Patch ``simplex._pivot`` to record (row, col) and then run ``pivot``;
+    returns the list of recorded pivots."""
+    pivots = []
+
+    def recording_pivot(T, red, basis, row, col):
+        pivots.append((row, col))
+        pivot(T, red, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    return pivots
+
+
+def test_dantzig_picks_lowest_index_among_equal_most_negative(monkeypatch):
+    pivots = record_pivots(monkeypatch, simplex._pivot)
+    T = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 2.0], [1.0, 2.0, 1.0, 0.0, 1.0, 4.0]])
+    red = np.array([-1.0, -3.0, -3.0, 0.0, 0.0, 0.0])
+    basis = np.array([3, 4])
+    assert simplex._iterate(T, red, basis, 100, 100) is None
+    # columns 1 and 2 tie at -3; rows 0 and 1 tie at ratio 2, row 0 has the smaller basic index
+    assert pivots[0] == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "bland_after, expected", [(0, [(0, 1), (1, 0), (1, 2)]), (100, [(0, 1), (1, 2)])]
+)
+def test_bland_picks_lowest_index_improving_column_after_degenerate_pivot(
+        monkeypatch, bland_after, expected):
+    pivots = record_pivots(monkeypatch, simplex._pivot)
+    # column 1 enters first (-5) on row 0, whose rhs is 0: a degenerate pivot;
+    # then Bland takes column 0 (-1) where Dantzig takes column 2 (-2)
+    T = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]])
+    red = np.array([-1.0, -5.0, -2.0, 0.0, 0.0, 0.0])
+    basis = np.array([3, 4])
+    assert simplex._iterate(T, red, basis, bland_after, 100) is None
+    assert pivots == expected
+
+
+def reference_pivot(T, red, basis, row, col):
+    T[row] /= T[row, col]
+    piv = T[row]
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    T -= np.outer(colv, piv)
+    red -= red[col] * piv
+    basis[row] = col
+
+
+def reference_iterate(T, red, basis, bland_after, max_iters):
+    """The kernel's pricing as first written: Dantzig over the improving
+    columns, Bland's lowest index after bland_after degenerate pivots, the
+    least basic index among tied ratios."""
+    degen = 0
+    for _ in range(max_iters):
+        cols = np.where(red[:-1] < -simplex.PIVOT_TOL)[0]
+        if cols.size == 0:
+            return None
+        col = int(cols[0]) if degen > bland_after else int(cols[np.argmin(red[cols])])
+        pos = np.where(T[:, col] > simplex.PIVOT_TOL)[0]
+        if pos.size == 0:
+            return col
+        ratios = T[pos, -1] / T[pos, col]
+        rmin = ratios.min()
+        ties = pos[ratios <= rmin + simplex.RATIO_TIE_TOL * (1.0 + abs(rmin))]
+        row = int(ties[np.argmin(basis[ties])])
+        degen = degen + 1 if rmin <= simplex.PIVOT_TOL else 0
+        simplex._pivot(T, red, basis, row, col)
+    raise simplex.SimplexError("simplex iteration limit exceeded")
+
+
+def test_pivots_match_reference_pricing(monkeypatch):
+    rng = np.random.default_rng(23)
+    iterate, pivot = simplex._iterate, simplex._pivot
+    total = 0
+    for trial in range(300):
+        d = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 10))
+        lp = LinearProgram(rng.integers(-3, 4, size=(k, d)), rng.integers(-3, 4, size=k),
+                           rng.integers(-3, 4, size=d))
+        # every other LP switches to Bland's rule after its first degenerate pivot
+        force = 0 if trial % 2 else None
+        runs = []
+        for it, piv in ((iterate, pivot), (reference_iterate, reference_pivot)):
+            def run(T, red, basis, bland_after, max_iters, it=it):
+                return it(T, red, basis, bland_after if force is None else force, max_iters)
+
+            monkeypatch.setattr(simplex, "_iterate", run)
+            pivots = record_pivots(monkeypatch, piv)
+            runs.append((solve_lp(lp), pivots))
+        (out, pivots), (ref, ref_pivots) = runs
+        assert pivots == ref_pivots
+        assert_same_outcome(out, ref)
+        total += len(pivots)
+    assert total > 600
