@@ -315,7 +315,7 @@ def cmd_polygon2d(args) -> int:
 
 def cmd_kkt(args) -> int:
     p, _ = load_problem(args.path)
-    rep = qpkkt.kkt_global_property(p, aggregate=args.aggregate)
+    rep = qpkkt.kkt_global_property(p)
     out = {
         "holds_for_all_b": rep.holds_for_all_b,
         "witness_w": rep.witness_w,
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     kp = sub.add_parser("kkt", help="global KKT complementarity property")
     kp.add_argument("path")
-    kp.add_argument("--aggregate", action="store_true", help="single aggregated LP probe")
     _output_flags(kp)
     kp.set_defaults(func=cmd_kkt)
 

@@ -47,9 +47,6 @@ class SignVector:
     def is_strict(self) -> bool:
         return all(e != 0 for e in self.entries)
 
-    def diag(self) -> np.ndarray:
-        return np.diag(np.array(self.entries, dtype=float))
-
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
@@ -233,11 +230,14 @@ def membership(
 ) -> tuple[bool, np.ndarray]:
     """Evaluate A x - D|x| <= b at x; returns (feasible, residual vector).
 
-    Feasibility allows margin(tol, b_i) per row.
+    Feasibility allows margin(tol, b_i) per row.  A point with a non-finite
+    entry raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != p.n:
         raise DimensionError(f"point has length {x.shape[0]}, expected {p.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("point has a non-finite entry")
     residual = p.A @ x - p.D @ np.abs(x) - p.b
     ok = bool(np.all(residual <= margin(tol, p.b)))
     return ok, residual

@@ -5,7 +5,8 @@ The feasible set is a union of convex polyhedra, one per sign orthant, so
 the problem reduces to at most 2^l LPs where l counts the nonzero columns
 of D.  When the split LP relaxation bounds every coordinate, ``solve_exact``
 searches a tree over those signs instead and typically solves a few dozen
-LPs; otherwise it solves all 2^l orthant LPs.  That sweep and
+LPs; otherwise it solves the orthant LPs in order, all 2^l of them unless
+one is unbounded, which ends the sweep.  That sweep and
 ``find_feasible_point`` share one orthant loop, ``_orthant_search``; every
 other per-orthant sweep of the package draws its signs from
 ``sign_vectors``.  The orthant loop applies ``solve_lp``'s empty-row rule
@@ -47,10 +48,11 @@ class SolveStatus:
 @dataclass(frozen=True)
 class SolveReport:
     """Verdict of ``solve_exact``.  ``orthants_solved`` counts the orthants
-    of the enumeration, each decided by its LP or by the empty-row rule of
-    ``_orthant_search``; ``nodes_solved`` counts the LPs of the sign tree
-    (its bound LPs, its node LPs and at most one orthant LP that polishes
-    its optimum).  One path runs, so one of the two is 0."""
+    the enumeration decided, each by its LP or by the empty-row rule of
+    ``_orthant_search``, up to and including the first unbounded one;
+    ``nodes_solved`` counts the LPs of the sign tree (its bound LPs, its
+    node LPs and at most one orthant LP that polishes its optimum).  One
+    path runs, so one of the two is 0."""
 
     status: str
     f_star: float | None = None
@@ -267,27 +269,22 @@ def _sign_tree(p: AvlpProblem) -> SolveReport | None:
 
 
 def _sweep(p: AvlpProblem) -> SolveReport:
-    """Solve every orthant LP.  Any unbounded orthant makes the problem
-    unbounded, otherwise the best optimal orthant wins; ties go to the
+    """Solve the orthant LPs in sign_vectors order.  The first unbounded
+    orthant makes the problem unbounded and ends the sweep; otherwise every
+    orthant is solved and the best optimal one wins, ties going to the
     lexicographically smallest sign vector."""
     best = None
-    unbounded = None
     solved = 0
 
     for s, out in _orthant_search(p):
         solved += 1
-        if out.status is LpStatus.UNBOUNDED and unbounded is None:
-            unbounded = (s, out)
-        elif out.is_optimal and (best is None or out.value > best[1].value):
+        if out.status is LpStatus.UNBOUNDED:
+            return SolveReport(
+                SolveStatus.UNBOUNDED, witness_sign=s, orthants_solved=solved, ray=out.ray
+            )
+        if out.is_optimal and (best is None or out.value > best[1].value):
             best = (s, out)
 
-    if unbounded is not None:
-        return SolveReport(
-            SolveStatus.UNBOUNDED,
-            witness_sign=unbounded[0],
-            orthants_solved=solved,
-            ray=unbounded[1].ray,
-        )
     if best is None:
         return SolveReport(SolveStatus.INFEASIBLE, orthants_solved=solved)
     s, out = best
@@ -308,13 +305,14 @@ def solve_exact(p: AvlpProblem) -> SolveReport:
     Signs matter only on the nonzero columns of D.  When the split
     relaxation bounds every coordinate, a sign-tree branch-and-bound
     decides (``nodes_solved`` LPs); its witness sign is the
-    lexicographically smallest orthant containing x_star.  Otherwise every
-    orthant is decided (``orthants_solved``, by its LP or by the empty-row
-    rule of ``_orthant_search``): any unbounded orthant
-    makes the problem unbounded, and ties between optimal orthants go to
-    the lexicographically smallest sign vector.  Either way the optimal
-    point is checked for membership before it is returned; a point that
-    fails raises SimplexError naming its orthant.
+    lexicographically smallest orthant containing x_star.  Otherwise the
+    orthants are decided in sign_vectors order (``orthants_solved``, each by
+    its LP or by the empty-row rule of ``_orthant_search``): the first
+    unbounded orthant makes the problem unbounded and stops the sweep, and
+    ties between optimal orthants go to the lexicographically smallest sign
+    vector.  Either way the optimal point is checked for membership before
+    it is returned; a point that fails raises SimplexError naming its
+    orthant.
     """
     if nonzero_columns(p.D):
         report = _sign_tree(p)
@@ -347,9 +345,6 @@ def relaxation_bound(p: AvlpProblem) -> LpOutcome:
 class CandidacyResult:
     passed: bool
     reason: str = ""
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.passed
 
 
 def vertex_candidacy(p: AvlpProblem, x) -> CandidacyResult:

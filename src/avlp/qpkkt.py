@@ -150,17 +150,14 @@ class GlobalKktReport:
     margin: float
 
 
-def kkt_global_property(p: AvlpProblem, aggregate: bool = False) -> GlobalKktReport:
+def kkt_global_property(p: AvlpProblem) -> GlobalKktReport:
     """Decide whether, for every right-hand side b, all KKT points of the
     split QP are complementary in the multiplier sense.
 
     The property fails exactly when some w >= 0 satisfies the two-sided
     system (A-D)^T w <= c <= (A+D)^T w with strict slack in both bounds at
     a common index.  Each index is probed with one LP maximizing the
-    smaller of the two slacks there (the default); with aggregate=True a
-    single LP maximizes the smallest slack over all indices, which is a
-    stricter query and can miss witnesses that are strict at one index but
-    tight elsewhere.
+    smaller of the two slacks there.
     """
     m, n = p.m, p.n
     L = p.A - p.D
@@ -168,39 +165,30 @@ def kkt_global_property(p: AvlpProblem, aggregate: bool = False) -> GlobalKktRep
     base_G = [L.T, -U.T, -np.eye(m)]
     base_h = [p.c, -p.c, np.zeros(m)]
 
-    def probe(indices):
-        k = len(indices)
+    def probe(i):
         # variables (w, delta)
         G = np.vstack(
             [
                 np.hstack([np.vstack(base_G), np.zeros((2 * n + m, 1))]),
                 np.hstack([np.zeros((1, m)), np.ones((1, 1))]),  # delta <= 1
-                np.hstack([L.T[indices], np.ones((k, 1))]),  # L^T w + d <= c_i
-                np.hstack([-U.T[indices], np.ones((k, 1))]),  # -U^T w + d <= -c_i
+                np.hstack([L.T[[i]], np.ones((1, 1))]),  # L^T w + d <= c_i
+                np.hstack([-U.T[[i]], np.ones((1, 1))]),  # -U^T w + d <= -c_i
             ]
         )
-        h = np.concatenate(
-            [np.concatenate(base_h), [1.0], p.c[indices], -p.c[indices]]
-        )
+        h = np.concatenate([np.concatenate(base_h), [1.0, p.c[i], -p.c[i]]])
         obj = np.zeros(m + 1)
         obj[m] = 1.0
         return solve_lp(LinearProgram(G, h, obj))
 
     best_margin = -np.inf
-    if aggregate:
-        out = probe(np.arange(n))
+    for i in range(n):
+        out = probe(i)
+        if out.status is LpStatus.INFEASIBLE:
+            continue
         if out.is_optimal and out.value > FEAS_TOL:
-            return GlobalKktReport(False, out.x[:m], None, out.value)
-        best_margin = out.value if out.is_optimal else -np.inf
-    else:
-        for i in range(n):
-            out = probe(np.array([i]))
-            if out.status is LpStatus.INFEASIBLE:
-                continue
-            if out.is_optimal and out.value > FEAS_TOL:
-                return GlobalKktReport(False, out.x[:m], i, out.value)
-            if out.is_optimal:
-                best_margin = max(best_margin, out.value)
+            return GlobalKktReport(False, out.x[:m], i, out.value)
+        if out.is_optimal:
+            best_margin = max(best_margin, out.value)
     return GlobalKktReport(True, None, None, best_margin)
 
 

@@ -331,8 +331,13 @@ class Polyhedron:
         return self.G.shape[1]
 
     def contains(self, x) -> bool:
-        """G x <= h within margin(MEMBER_TOL, h_i) per row."""
+        """G x <= h within margin(MEMBER_TOL, h_i) per row.  A point with a
+        non-finite entry raises ReformulationError."""
         x = np.asarray(x, dtype=float).ravel()
+        # a Python loop beats np.isfinite on short points, and a union
+        # query runs this once per piece
+        if not all(map(math.isfinite, x.tolist())):
+            raise ReformulationError("point has a non-finite entry")
         return bool(np.all(self.G @ x <= self.h + margin(MEMBER_TOL, self.h)))
 
 

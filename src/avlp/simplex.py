@@ -110,10 +110,6 @@ class LinearProgram:
         object.__setattr__(self, "obj", obj)
 
     @property
-    def num_constraints(self) -> int:
-        return self.G.shape[0]
-
-    @property
     def num_vars(self) -> int:
         return self.G.shape[1]
 
@@ -129,10 +125,6 @@ class LpOutcome:
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.status is not LpStatus.INFEASIBLE
 
 
 def _pivot(T: np.ndarray, red: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -26,9 +26,8 @@ subnormal.  No computed value is trusted, a point entry included:
 
 Every lower bound is pushed down and every upper bound up with
 np.nextafter.  A bound that overflows widens its interval to the whole
-line.  The scalar ``Interval`` is the element type of the boxes; its own
-arithmetic widens every rounded bound by a few ulps, points included, and
-the array code does not use it.
+line.  The scalar ``Interval`` is only a checked (lo, hi) record, the item
+type of a box; it has no arithmetic.
 """
 
 from __future__ import annotations
@@ -41,29 +40,10 @@ import numpy as np
 from .core import AvlpProblem, membership
 from .simplex import FEAS_TOL, VERIFY_TOL, LinearProgram, margin, solve_lp
 
-_WIDEN_ULPS = 4
-
-
-def _down(x: float) -> float:
-    for _ in range(_WIDEN_ULPS):
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
-def _up(x: float) -> float:
-    for _ in range(_WIDEN_ULPS):
-        x = math.nextafter(x, math.inf)
-    return x
-
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval with outward-widened arithmetic.
-
-    Every operation widens its rounded bounds by a few ulps in both
-    directions, points included, so the result encloses the exact sum,
-    difference, product or quotient of any members of the operands.
-    """
+    """Closed interval [lo, hi], one entry of an ``IntervalVector``."""
 
     lo: float
     hi: float
@@ -71,59 +51,6 @@ class Interval:
     def __post_init__(self):
         if not (self.lo <= self.hi):
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(v: float) -> "Interval":
-        v = float(v)
-        return Interval(v, v)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def rad(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
-    @property
-    def mag(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        prods = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(_down(min(prods)), _up(max(prods)))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise ZeroDivisionError("interval divisor contains zero")
-        quots = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(_down(min(quots)), _up(max(quots)))
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
 
 
 _U = 2.0**-53
@@ -187,14 +114,6 @@ class IntervalVector:
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
 
-    @classmethod
-    def of(cls, box) -> "IntervalVector":
-        """The box itself, or the box of a sequence of ``Interval``s."""
-        if isinstance(box, cls):
-            return box
-        box = list(box)
-        return cls(np.array([[iv.lo for iv in box], [iv.hi for iv in box]]).reshape(2, len(box)))
-
     @property
     def lo(self) -> np.ndarray:
         return self.bounds[0]
@@ -239,15 +158,9 @@ class IntervalMatrix:
     def T(self) -> "IntervalMatrix":
         return IntervalMatrix(self.mid.T, self.rad.T)
 
-    def contains_matrix(self, M) -> bool:
-        M = np.asarray(M, dtype=float)
-        return bool(np.all(np.abs(M - self.mid) <= self.rad))
 
-
-def interval_matvec(M: IntervalMatrix, box) -> IntervalVector:
-    """Interval product of a matrix family with a box (an ``IntervalVector``
-    or a sequence of ``Interval``s)."""
-    box = IntervalVector.of(box)
+def interval_matvec(M: IntervalMatrix, box: IntervalVector) -> IntervalVector:
+    """Interval product of a matrix family with a box."""
     m, n = M.shape
     if len(box) != n:
         raise ValueError(f"box has length {len(box)}, expected {n}")

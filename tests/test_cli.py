@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -477,3 +479,21 @@ def test_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     cli.main(["solve", path])
     assert capsys.readouterr().out == first
+
+
+def test_readme_usage_block_lists_every_option_of_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Subcommands", 1)[1].split("```")[1]
+    usage = {line.split()[1]: line for line in block.strip().splitlines()}
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(usage) == set(subparsers.choices)
+    mismatched = []
+    for name, sub in subparsers.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        options -= {"-h", "--help", "--json", "--text"}
+        listed = set(re.findall(r"--[a-z][a-z-]*", usage[name]))
+        if listed != options:
+            mismatched.append((name, sorted(options - listed), sorted(listed - options)))
+    assert mismatched == []

@@ -29,10 +29,6 @@ class TestSignVector:
         s = SignVector.from_point([1.0, 0.0, -2.0])
         assert s.entries == (1, 1, -1)
 
-    def test_diag(self):
-        s = SignVector((1, -1))
-        assert np.array_equal(s.diag(), np.diag([1.0, -1.0]))
-
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             SignVector((1, 2))

@@ -108,6 +108,27 @@ def test_unbounded_status_with_ray():
     assert rep.ray is not None
 
 
+def test_sweep_stops_at_the_first_unbounded_orthant(monkeypatch):
+    # x_j - 2|x_j| <= 0 holds everywhere, so the relaxation is unbounded
+    # and the sweep decides; max -x1 is unbounded already in orthant (-1, -1)
+    p = AvlpProblem(np.eye(2), 2.0 * np.eye(2), [0.0, 0.0], [-1.0, 0.0])
+    orthant_lps = []
+
+    def first_orthant_only(lp):
+        if lp.num_vars == p.n:
+            orthant_lps.append(lp)
+            if len(orthant_lps) > 1:
+                raise SimplexError("a later orthant was solved")
+        return solve_lp(lp)
+
+    monkeypatch.setattr(exact, "solve_lp", first_orthant_only)
+    rep = solve_exact(p)
+    assert rep.status == SolveStatus.UNBOUNDED and rep.nodes_solved == 0
+    assert rep.witness_sign.entries == (-1, -1)
+    assert rep.orthants_solved == 1 and len(orthant_lps) == 1
+    assert rep.ray[0] < 0
+
+
 def test_sign_vectors_enumeration_order_and_zeros():
     got = [s.entries for s in sign_vectors(3, [0, 2])]
     assert got == [(-1, 0, -1), (-1, 0, 1), (1, 0, -1), (1, 0, 1)]

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from avlp import cli
 from avlp.core import AvlpProblem, membership
 from avlp.qpkkt import (
     KktPoint,
@@ -75,11 +78,27 @@ class TestGlobalProperty:
         # A = D = 1, c = 0: residual always equals the bound, never strict
         assert kkt_global_property(AvlpProblem([[1.0]], [[1.0]], [1.0], [0.0])).holds_for_all_b
 
-    def test_aggregate_mode_agrees_on_fixtures(self):
-        assert not kkt_global_property(tiny(), aggregate=True).holds_for_all_b
-        assert kkt_global_property(
-            AvlpProblem([[1.0]], [[0.0]], [1.0], [1.0]), aggregate=True
-        ).holds_for_all_b
+    def test_witness_tight_at_other_indices_is_found(self, tmp_path):
+        # strict two-sided slack at index 0 only; index 1 is tight for
+        # every w, so one LP over both indices would see no witness
+        A = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        D = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        p = AvlpProblem(A, D, np.ones(4), [0.0, 1.0])
+        rep = kkt_global_property(p)
+        assert not rep.holds_for_all_b
+        assert (rep.witness_index, rep.margin) == (0, 1.0)
+        b, pt = construct_kkt_counterexample(p, rep.witness_w)
+        v = verify_kkt(build_qp(p), b, pt)
+        assert v.valid and not v.complementary
+        # the one probe per index is the only probe
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"n": 2, "m": 4, "A": np.ravel(A).tolist(), "D": np.ravel(D).tolist(),
+             "b": [1, 1, 1, 1], "c": [0, 1]}
+        ))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kkt", str(path), "--aggregate"])
+        assert exc.value.code == 2
 
 
 class TestCounterexample:

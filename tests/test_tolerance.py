@@ -16,7 +16,7 @@ from avlp import exact
 from avlp.core import AvlpProblem, membership
 from avlp.exact import vertex_candidacy
 from avlp.qpkkt import optimum_on_lp_part
-from avlp.reformulate import Polyhedron
+from avlp.reformulate import Polyhedron, ReformulationError, UnionOfPolyhedra
 from avlp.stability import recover_x_star
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "avlp"
@@ -46,6 +46,16 @@ def test_membership_at_member_tol(offset, inside):
 @pytest.mark.parametrize("offset, inside", inside_and_outside(1e-9 * 4.0))
 def test_polyhedron_contains_at_member_tol(offset, inside):
     assert Polyhedron([[1.0]], [3.0]).contains([3.0 + offset]) is inside
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_point_is_rejected_by_every_membership_test(value):
+    with pytest.raises(ValueError, match="point has a non-finite entry"):
+        membership(one_row(), [value])
+    piece = Polyhedron([[1.0]], [3.0])
+    for query in (piece.contains, UnionOfPolyhedra((piece,)).contains):
+        with pytest.raises(ReformulationError, match="point has a non-finite entry"):
+            query([value])
 
 
 @pytest.mark.parametrize("offset, inside", inside_and_outside(1e-8 * 4.0))
