@@ -117,10 +117,10 @@ def bounded_for_all_b(p: AvlpProblem) -> BoundednessVerdict:
         np.zeros(n),
     )
     for s in sign_vectors(n, list(range(n))):
-        lp = orthant_restriction(capped.with_objective(s.as_array()), s)
-        out = _solve(lp, f"orthant {s.entries}")
+        lp = orthant_restriction(capped.with_objective(s), s)
+        out = _solve(lp, f"orthant {tuple(s.tolist())}")
         if out.is_optimal and out.value > FEAS_TOL:
-            return BoundednessVerdict(False, ray=out.x, sign=s)
+            return BoundednessVerdict(False, ray=out.x, sign=SignVector(tuple(s.tolist())))
     return BoundednessVerdict(True)
 
 
@@ -175,11 +175,11 @@ def convexity_vertex_check(p: AvlpProblem) -> ConvexityVerdict:
     """
     if p.n > VERTEX_MAX_DIM:
         raise SizeLimitError(f"convexity vertex check limited to n <= {VERTEX_MAX_DIM}")
-    found: list[tuple[SignVector, np.ndarray, tuple[int, ...]]] = []
+    found: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = []
     for s in sign_vectors(p.n, list(range(p.n))):
         G = orthant_restriction(p, s).G[: p.m]
         for x, active in enumerate_vertices(G, p.b, FEAS_TOL):
-            if np.all(s.as_array() * x >= -FEAS_TOL):
+            if np.all(s * x >= -FEAS_TOL):
                 found.append((s, x, active))
     for (s1, x1, a1), (s2, x2, a2) in itertools.combinations(found, 2):
         shared = set(a1) & set(a2)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, exact, integrality, qpkkt, reformulate, stability
-from .core import AvlpProblem, RawProblem, SignVector, normalize, orthant_restriction
+from .core import AvlpProblem, RawProblem, normalize, orthant_restriction
 
 SCHEMA_VERSION = 1
 
@@ -72,12 +72,13 @@ def _finite(arr, field) -> np.ndarray:
 
 
 def _count(data, field) -> int:
-    """data[field] as an int, or a ProblemFileError naming the field."""
+    """data[field] as a nonnegative int, or a ProblemFileError naming the field."""
     value = _field(data, field)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field {field!r}: {exc}") from None
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProblemFileError(f"field {field!r}: {value!r} is not a nonnegative integer")
+    return value
 
 
 def _matrix(flat, m, n, field):
@@ -260,7 +261,7 @@ def cmd_reformulate(args) -> int:
             if not np.isin(s, (-1.0, 1.0)).all():
                 raise ProblemFileError(f"field {at + 's'!r}: entries must be -1 or 1")
             rows = _rows(piece, "rows", "a", "beta", at)
-            pieces.append((SignVector(tuple(int(v) for v in s)), rows))
+            pieces.append((s, rows))
         alpha = data.get("alpha", "auto")
         if alpha != "auto":
             alpha = float(_floats(alpha, "alpha", 0))
@@ -304,7 +305,7 @@ def cmd_polygon2d(args) -> int:
         h = np.concatenate([lp.h, box_h])
         vertices = [v for v, _ in analysis.enumerate_vertices(G, h)]
         for k, v in enumerate(_ccw_sorted(vertices)):
-            rows.append([s.entries[0], s.entries[1], k, _fnum(v[0]), _fnum(v[1])])
+            rows.append([*s.tolist(), k, _fnum(v[0]), _fnum(v[1])])
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s1", "s2", "vertex", "x1", "x2"])

@@ -34,10 +34,10 @@ class SignVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(self.entries)
         if any(e not in (-1, 0, 1) for e in entries):
             raise ValueError("sign vector entries must be in {-1, 0, +1}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
 
     @property
     def n(self) -> int:
@@ -46,13 +46,6 @@ class SignVector:
     @property
     def is_strict(self) -> bool:
         return all(e != 0 for e in self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-    @classmethod
-    def from_point(cls, x) -> "SignVector":
-        return cls(tuple(int(v) for v in sgn(x)))
 
 
 def _check_shapes(A, D, b, c):
@@ -146,8 +139,9 @@ def normalize(raw: RawProblem) -> AvlpProblem:
     return AvlpProblem(A2, D2, b2, c2)
 
 
-def orthant_restriction(p: AvlpProblem, s: SignVector) -> LinearProgram:
-    """LP obtained by restricting the problem to the orthant diag(s) x >= 0.
+def orthant_restriction(p: AvlpProblem, s) -> LinearProgram:
+    """LP obtained by restricting the problem to the orthant diag(s) x >= 0,
+    for a sign array s (entries in {-1, 0, +1}) or a SignVector.
 
     Within the orthant |x| = diag(s) x, so the constraints become
     (A - D diag(s)) x <= b together with -diag(s) x <= 0.  This is
@@ -157,9 +151,7 @@ def orthant_restriction(p: AvlpProblem, s: SignVector) -> LinearProgram:
     sound when the matching column of D is zero, since then |x_j| never
     enters the system.
     """
-    if s.n != p.n:
-        raise DimensionError(f"sign vector length {s.n}, expected {p.n}")
-    return secant_relaxation(p, s.entries)
+    return secant_relaxation(p, s.entries if isinstance(s, SignVector) else s)
 
 
 def split_relaxation(p: RawProblem) -> LinearProgram:

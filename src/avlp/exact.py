@@ -9,7 +9,9 @@ LPs; otherwise it solves the orthant LPs in order, all 2^l of them unless
 one is unbounded, which ends the sweep.  That sweep and
 ``find_feasible_point`` share one orthant loop, ``_orthant_search``; every
 other per-orthant sweep of the package draws its signs from
-``sign_vectors``.  The orthant loop applies ``solve_lp``'s empty-row rule
+``sign_vectors``, as int arrays, and builds its LPs by
+``orthant_restriction``; only a sign that a result reports becomes a
+``SignVector``.  The orthant loop applies ``solve_lp``'s empty-row rule
 once per problem: an orthant in which a violated row of the problem
 vanishes is decided infeasible, with the Farkas vector ``solve_lp`` would
 give, before its LP is built.
@@ -33,6 +35,7 @@ from .core import (
     orthant_restriction,
     secant,
     secant_relaxation,
+    sgn,
     split_relaxation,
 )
 from .simplex import (FEAS_TOL, PIVOT_TOL, LinearProgram, LpOutcome, LpStatus, SimplexError,
@@ -63,17 +66,17 @@ class SolveReport:
     nodes_solved: int = 0
 
 
-def sign_vectors(n: int, enumerated: list[int]) -> Iterator[SignVector]:
+def sign_vectors(n: int, enumerated: list[int]) -> Iterator[np.ndarray]:
     """All sign vectors in {+-1}^n, lexicographic (-1 < +1) over the
     enumerated indices, with the remaining entries set to 0 (meaning
-    unconstrained; their absolute value never enters the system).
+    unconstrained; their absolute value never enters the system).  Each
+    is a fresh int array of length n, so a caller may keep it.
 
     This is the package's one sign enumerator."""
     for combo in itertools.product((-1, 1), repeat=len(enumerated)):
-        s = [0] * n
-        for idx, val in zip(enumerated, combo):
-            s[idx] = val
-        yield SignVector(tuple(s))
+        s = np.zeros(n, dtype=int)
+        s[enumerated] = combo
+        yield s
 
 
 def _solve(lp: LinearProgram, where: str) -> LpOutcome:
@@ -110,10 +113,10 @@ def _empty_rows(p: AvlpProblem, enumerated: list[int]):
     return rows, masks, values
 
 
-def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
+def _orthant_search(p: AvlpProblem) -> Iterator[tuple[np.ndarray, LpOutcome]]:
     """Solve the orthant LP of every sign vector over the nonzero columns
-    of D, yielding (sign, outcome) in sign_vectors order.  A SimplexError
-    is re-raised naming the orthant it came from.
+    of D, yielding (sign array, outcome) in sign_vectors order.  A
+    SimplexError is re-raised naming the orthant it came from.
 
     The empty-row rule of ``solve_lp`` is applied once per problem
     (``_empty_rows``), before any LP is built: an orthant in which a
@@ -129,7 +132,7 @@ def _orthant_search(p: AvlpProblem) -> Iterator[tuple[SignVector, LpOutcome]]:
             farkas[hit[0]] = 1.0
             yield s, LpOutcome(LpStatus.INFEASIBLE, farkas=farkas)
         else:
-            yield s, _solve(orthant_restriction(p, s), f"orthant {s.entries}")
+            yield s, _solve(orthant_restriction(p, s), f"orthant {tuple(s.tolist())}")
 
 
 def _beats(bound: float, incumbent: float) -> bool:
@@ -251,7 +254,7 @@ def _sign_tree(p: AvlpProblem) -> SolveReport | None:
         # sit up to membership's tolerance outside the set; the orthant LP
         # of its signs (a leaf) gives a vertex of the set itself
         signs = np.where(branchable, np.where(best > 0.0, 1, -1), 0)
-        out = _solve(secant_relaxation(p, signs, (l, u)), f"orthant {tuple(int(v) for v in signs)}")
+        out = _solve(orthant_restriction(p, signs), f"orthant {tuple(signs.tolist())}")
         solved += 1
         if out.is_optimal:
             best = out.x
@@ -280,7 +283,8 @@ def _sweep(p: AvlpProblem) -> SolveReport:
         solved += 1
         if out.status is LpStatus.UNBOUNDED:
             return SolveReport(
-                SolveStatus.UNBOUNDED, witness_sign=s, orthants_solved=solved, ray=out.ray
+                SolveStatus.UNBOUNDED, witness_sign=SignVector(tuple(s.tolist())),
+                orthants_solved=solved, ray=out.ray
             )
         if out.is_optimal and (best is None or out.value > best[1].value):
             best = (s, out)
@@ -289,12 +293,12 @@ def _sweep(p: AvlpProblem) -> SolveReport:
         return SolveReport(SolveStatus.INFEASIBLE, orthants_solved=solved)
     s, out = best
     if not membership(p, out.x)[0]:
-        raise SimplexError(f"orthant {s.entries}: optimal point fails membership")
+        raise SimplexError(f"orthant {tuple(s.tolist())}: optimal point fails membership")
     return SolveReport(
         SolveStatus.OPTIMAL,
         f_star=float(out.value),
         x_star=out.x,
-        witness_sign=s,
+        witness_sign=SignVector(tuple(s.tolist())),
         orthants_solved=solved,
     )
 
@@ -359,7 +363,7 @@ def vertex_candidacy(p: AvlpProblem, x) -> CandidacyResult:
     ok, _ = membership(p, x, FEAS_TOL)
     if not ok:
         raise ValueError("point is not feasible")
-    lp = orthant_restriction(p, SignVector.from_point(x))
+    lp = orthant_restriction(p, sgn(x))
     active = np.abs(lp.G @ x - lp.h) <= margin(FEAS_TOL, lp.h)
     active1 = lp.G[: p.m][active[: p.m]]
     rank1 = np.linalg.matrix_rank(active1) if active1.size else 0

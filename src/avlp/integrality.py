@@ -187,7 +187,7 @@ def integrality_full(A, D) -> IntegralityReport:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
     if total > DEFAULT_BUDGET:
         raise BudgetExceededError(f"workload {total} exceeds budget {DEFAULT_BUDGET}")
-    signs = (s.entries for s in sign_vectors(n, list(range(n))))
+    signs = (s.tolist() for s in sign_vectors(n, list(range(n))))
     return _check_signs(A, D, signs, "full")
 
 

@@ -128,21 +128,15 @@ def ilp01_to_avlp(A, b, c) -> Encoding:
 # disjunctions
 
 
-class _Affine:
-    """Affine expression coef . v + const over a fixed variable space."""
-
-    def __init__(self, nv: int, coef=None, const: float = 0.0):
-        self.coef = np.zeros(nv) if coef is None else np.asarray(coef, dtype=float).copy()
-        self.const = float(const)
-
-    def __add__(self, other):
-        return _Affine(len(self.coef), self.coef + other.coef, self.const + other.const)
-
-    def __sub__(self, other):
-        return _Affine(len(self.coef), self.coef - other.coef, self.const - other.const)
-
-    def scaled(self, a: float):
-        return _Affine(len(self.coef), a * self.coef, a * self.const)
+def _residual(row, n: int, nv: int) -> np.ndarray:
+    """The expression g^T x - h of row = (g, h), x being the first n of the
+    nv variables.  Here an affine expression over nv variables is one array
+    of length nv + 1: the coefficients, then the constant."""
+    g, h = row
+    expr = np.zeros(nv + 1)
+    expr[:n] = np.asarray(g, dtype=float).ravel()
+    expr[-1] = -float(h)
+    return expr
 
 
 class _RowBuilder:
@@ -152,29 +146,22 @@ class _RowBuilder:
         self.D: list[np.ndarray] = []
         self.b: list[float] = []
 
-    def leq(self, expr: _Affine, abs_cols: dict[int, float] | None = None):
-        """Append row expr(v) - sum d_j |v_j| <= 0."""
+    def leq(self, expr: np.ndarray, abs_col: int | None = None):
+        """Append row expr(v) - |v_abs_col| <= 0 (expr(v) <= 0 without one)."""
         drow = np.zeros(self.nv)
-        for j, d in (abs_cols or {}).items():
-            drow[j] = d
-        self.A.append(expr.coef.copy())
+        if abs_col is not None:
+            drow[abs_col] = 1.0
+        self.A.append(expr[:-1])
         self.D.append(drow)
-        self.b.append(-expr.const)
+        self.b.append(-expr[-1])
 
-    def equal(self, expr: _Affine):
+    def equal(self, expr: np.ndarray):
         """Append rows expr(v) = 0 (two inequalities)."""
         self.leq(expr)
-        self.leq(expr.scaled(-1.0))
+        self.leq(-1.0 * expr)
 
     def build(self, obj) -> AvlpProblem:
         return AvlpProblem(np.array(self.A), np.array(self.D), np.array(self.b), obj)
-
-
-def _unit(nv, j, const=0.0):
-    a = _Affine(nv)
-    a.coef[j] = 1.0
-    a.const = const
-    return a
 
 
 def disjunction_ineq_to_avlp(terms, n: int) -> Encoding:
@@ -195,31 +182,26 @@ def disjunction_ineq_to_avlp(terms, n: int) -> Encoding:
     num_w = max(k - 2, 0)
     nv = n + num_t + num_w
     t0, w0 = n, n + num_t
-
-    def f(i) -> _Affine:
-        g, h = terms[i]
-        a = _Affine(nv)
-        a.coef[:n] = np.asarray(g, dtype=float).ravel()
-        a.const = -float(h)
-        return a
+    unit = np.eye(nv + 1)
 
     rb = _RowBuilder(nv)
-    E = f(k - 1)
+    E = _residual(terms[k - 1], n, nv)
     scale = 1.0
     ti = num_t - 1
     wi = num_w - 1
     for j in range(k - 2, -1, -1):
+        f = _residual(terms[j], n, nv)
         t = t0 + ti
         ti -= 1
-        rb.equal(_unit(nv, t) - (f(j).scaled(scale) - E))
+        rb.equal(unit[t] - (scale * f - E))
         if j > 0:
             w = w0 + wi
             wi -= 1
-            rb.leq(_unit(nv, w), abs_cols={t: 1.0})  # w <= |t|
-            E = f(j).scaled(scale) + E - _unit(nv, w)
+            rb.leq(unit[w], abs_col=t)  # w <= |t|
+            E = scale * f + E - unit[w]
             scale *= 2.0
         else:
-            rb.leq(f(j).scaled(scale) + E, abs_cols={t: 1.0})
+            rb.leq(scale * f + E, abs_col=t)
     problem = rb.build(np.zeros(nv))
     aux = [VarRole("min-residuals", tuple(range(t0, t0 + num_t)))]
     if num_w:
@@ -251,29 +233,23 @@ def disjunction_eq_to_avlp(F, G, n: int, mode: str = "corrected") -> Encoding:
     t0 = n
     r0 = n + m1
     p0 = n + m1 + m2
-
-    def residual(row) -> _Affine:
-        g, h = row
-        a = _Affine(nv)
-        a.coef[:n] = np.asarray(g, dtype=float).ravel()
-        a.const = -float(h)
-        return a
+    unit = np.eye(nv + 1)
 
     rb = _RowBuilder(nv)
     for i, row in enumerate(F):
-        rb.equal(_unit(nv, t0 + i) - residual(row))
+        rb.equal(unit[t0 + i] - _residual(row, n, nv))
     for j, row in enumerate(G):
-        rb.equal(_unit(nv, r0 + j) - residual(row))
+        rb.equal(unit[r0 + j] - _residual(row, n, nv))
 
     if mode == "paper_literal":
         for i in range(m1):
-            rb.leq(_unit(nv, t0 + i).scaled(-1.0))  # t_i >= 0
+            rb.leq(-1.0 * unit[t0 + i])  # t_i >= 0
         for j in range(m2):
-            rb.leq(_unit(nv, r0 + j).scaled(-1.0))  # r_j >= 0
+            rb.leq(-1.0 * unit[r0 + j])  # r_j >= 0
         for idx, (i, j) in enumerate(itertools.product(range(m1), range(m2))):
             pq = p0 + idx
-            rb.equal(_unit(nv, pq) - (_unit(nv, t0 + i) - _unit(nv, r0 + j)))
-            rb.leq(_unit(nv, t0 + i) + _unit(nv, r0 + j), abs_cols={pq: 1.0})
+            rb.equal(unit[pq] - (unit[t0 + i] - unit[r0 + j]))
+            rb.leq(unit[t0 + i] + unit[r0 + j], abs_col=pq)
         aux_roles = (
             VarRole("residuals-left", tuple(range(t0, r0))),
             VarRole("residuals-right", tuple(range(r0, p0))),
@@ -283,13 +259,13 @@ def disjunction_eq_to_avlp(F, G, n: int, mode: str = "corrected") -> Encoding:
         for idx, (i, j) in enumerate(itertools.product(range(m1), range(m2))):
             pp = p0 + 2 * idx
             qq = pp + 1
-            rb.equal(_unit(nv, pp) - (_unit(nv, t0 + i) - _unit(nv, r0 + j)))
-            rb.equal(_unit(nv, qq) - (_unit(nv, t0 + i) + _unit(nv, r0 + j)))
+            rb.equal(unit[pp] - (unit[t0 + i] - unit[r0 + j]))
+            rb.equal(unit[qq] - (unit[t0 + i] + unit[r0 + j]))
             # |q| <= |p| and |p| <= |q|  =>  |t - r| = |t + r|  =>  t r = 0
-            rb.leq(_unit(nv, qq), abs_cols={pp: 1.0})
-            rb.leq(_unit(nv, qq).scaled(-1.0), abs_cols={pp: 1.0})
-            rb.leq(_unit(nv, pp), abs_cols={qq: 1.0})
-            rb.leq(_unit(nv, pp).scaled(-1.0), abs_cols={qq: 1.0})
+            rb.leq(unit[qq], abs_col=pp)
+            rb.leq(-1.0 * unit[qq], abs_col=pp)
+            rb.leq(unit[pp], abs_col=qq)
+            rb.leq(-1.0 * unit[pp], abs_col=qq)
         aux_roles = (
             VarRole("residuals-left", tuple(range(t0, r0))),
             VarRole("residuals-right", tuple(range(r0, p0))),
@@ -421,6 +397,9 @@ def union_membership(enc: Encoding, x) -> bool:
 # orthant-convex sets without extra variables
 
 
+ALPHA_CAP_FACTOR = 2.0**20
+
+
 @dataclass(frozen=True)
 class OrthantConvexReport:
     alpha: float
@@ -432,7 +411,7 @@ def _emit_orthant_convex(pieces, n, alpha):
     D_rows = []
     b_vals = []
     for s, rows in pieces:
-        sa = s.as_array()
+        sa = np.array(s.entries, dtype=float)
         for a, beta in rows:
             a = np.asarray(a, dtype=float).ravel()
             A_rows.append(alpha * sa + a)
@@ -448,39 +427,38 @@ def _verify_orthant_convex(pieces, emitted: AvlpProblem):
     piece_rows = {s.entries: rows for s, rows in pieces}
     orthants = []
     for sp in sign_vectors(n, list(range(n))):
-        desc = piece_rows.get(sp.entries, [])
+        key = tuple(sp.tolist())
+        desc = piece_rows.get(key, [])
         region = AvlpProblem(
             np.reshape([np.ravel(a) for a, _ in desc], (len(desc), n)),
             np.zeros((len(desc), n)),
             [beta for _, beta in desc],
             np.zeros(n),
         )
-        orthants.append((sp, orthant_restriction(region, sp), orthant_restriction(emitted, sp).G))
+        orthants.append((key, orthant_restriction(region, sp), orthant_restriction(emitted, sp).G))
     offending = []
     for row, beta in enumerate(emitted.b):
-        for sp, lp, rows_in_sp in orthants:
-            out = _solve(replace(lp, obj=rows_in_sp[row]), f"orthant {sp.entries}")
+        for key, lp, rows_in_sp in orthants:
+            out = _solve(replace(lp, obj=rows_in_sp[row]), f"orthant {key}")
             if out.status is LpStatus.UNBOUNDED or (
                 out.is_optimal and out.value > beta + margin(VERIFY_TOL, beta)
             ):
-                offending.append((sp.entries, row))
+                offending.append((key, row))
     return offending
 
 
-def orthant_convex_to_avlp(
-    pieces, alpha="auto", cap_factor: float = 2.0**20
-) -> tuple[Encoding, OrthantConvexReport]:
+def orthant_convex_to_avlp(pieces, alpha="auto") -> tuple[Encoding, OrthantConvexReport]:
     """Encode a per-orthant convex description without extra variables.
 
-    pieces: list of (SignVector s, [(a, beta), ...]) meaning a^T x <= beta
-    describes the set inside orthant s; an orthant without rows is wholly
-    contained, an empty orthant is cut with a row like 0^T x <= -1.  Each
-    input row becomes (alpha diag(s) e + a)^T x - alpha e^T |x| <= beta.
-    With alpha='auto' the scale doubles from 1 + max|a| until an LP per
-    (orthant, row) certifies every emitted row is implied by each orthant's
-    description; failure up to the cap, cap_factor >= 1 times the first
-    scale, raises, which happens exactly for sets with an unbounded
-    boundary direction orthogonal to an axis.
+    pieces: list of (s, [(a, beta), ...]), s a strict SignVector or its
+    entries, meaning a^T x <= beta describes the set inside orthant s; an
+    orthant without rows is wholly contained, an empty one is cut with a
+    row like 0^T x <= -1.  Each row becomes (alpha diag(s) e + a)^T x -
+    alpha e^T |x| <= beta.  With alpha='auto' the scale doubles from
+    1 + max|a| until an LP per (orthant, row) certifies every emitted row
+    is implied by each orthant's description; failure up to the cap,
+    ALPHA_CAP_FACTOR times the first scale, raises, which happens exactly
+    for sets with an unbounded boundary direction orthogonal to an axis.
     """
     pieces = [(s if isinstance(s, SignVector) else SignVector(tuple(s)), list(rows)) for s, rows in pieces]
     if not pieces:
@@ -490,19 +468,17 @@ def orthant_convex_to_avlp(
     for s, _ in pieces:
         if s.n != n or not s.is_strict:
             raise ReformulationError("orthant signs must be strict and share dimension")
-        if tuple(s.entries) in seen:
+        if s.entries in seen:
             raise ReformulationError(f"duplicate orthant {s.entries}")
-        seen.add(tuple(s.entries))
+        seen.add(s.entries)
 
     max_coef = max(
         (abs(float(v)) for _, rows in pieces for a, _ in rows for v in np.ravel(a)),
         default=0.0,
     )
     if alpha == "auto":
-        if cap_factor < 1:
-            raise ReformulationError("cap_factor must be at least 1")
         alpha0 = 1.0 + max_coef
-        limit = cap_factor * alpha0
+        limit = ALPHA_CAP_FACTOR * alpha0
         doublings = (alpha0 * 2.0**i for i in itertools.count())
         scales = itertools.takewhile(lambda a: a <= limit, doublings)
     else:
@@ -510,7 +486,6 @@ def orthant_convex_to_avlp(
         if limit <= 0:
             raise ReformulationError("alpha must be positive")
         scales = [limit]
-    offending = None
     for a_val in scales:
         problem = AvlpProblem(*_emit_orthant_convex(pieces, n, a_val), np.zeros(n))
         offending = _verify_orthant_convex(pieces, problem)

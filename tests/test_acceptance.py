@@ -28,6 +28,7 @@ from avlp.qpkkt import (
     verify_kkt,
 )
 from avlp.reformulate import (
+    ALPHA_CAP_FACTOR,
     OrthantConvexVerificationError,
     Polyhedron,
     UnionOfPolyhedra,
@@ -159,7 +160,8 @@ def test_criterion_4_wedge_union_encoding(capsys):
     ok = ok and not any(wedge_member(*pt) for pt in [(0, 1), (1, 2)])
 
     # the raw 2-variable set has no single-inequality description: the
-    # verification sweep must reject every alpha up to the cap
+    # verification sweep must reject every alpha up to the cap,
+    # ALPHA_CAP_FACTOR times the first scale 1 + max|a| = 2
     empty = [(np.array([0.0, 0.0]), -1.0)]
     pieces = [
         (SignVector((1, 1)),
@@ -169,12 +171,11 @@ def test_criterion_4_wedge_union_encoding(capsys):
         (SignVector((1, -1)), empty),
         (SignVector((-1, -1)), empty),
     ]
-    cap = 2.0**10
     try:
-        orthant_convex_to_avlp(pieces, cap_factor=cap)
+        orthant_convex_to_avlp(pieces)
         ok = False
     except OrthantConvexVerificationError as exc:
-        ok = ok and exc.alpha * 2.0 > cap
+        ok = ok and exc.alpha == ALPHA_CAP_FACTOR * 2.0
     check(capsys, 4, "wedge union: aux-variable encoding, no direct encoding", ok)
 
 

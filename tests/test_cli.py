@@ -102,7 +102,8 @@ class TestProblemFile:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("A", ["a", 1]), ("b", [[1], [1, 2]]), ("m", "two")],
+        [("A", ["a", 1]), ("b", [[1], [1, 2]]), ("m", "two"), ("m", 2.5), ("n", True),
+         ("n", -1), ("m", math.inf)],
     )
     def test_malformed_number_named(self, tmp_path, capsys, field, value):
         data = {"n": 1, "m": 2, "A": [1, -1], "D": [0, 0], "b": [1, 1], "c": [1]}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import avlp
 from avlp.core import (
     AvlpProblem,
     DimensionError,
@@ -25,13 +26,14 @@ def test_sgn_convention():
 
 
 class TestSignVector:
-    def test_from_point_uses_plus_on_zero(self):
-        s = SignVector.from_point([1.0, 0.0, -2.0])
-        assert s.entries == (1, 1, -1)
-
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             SignVector((1, 2))
+
+    @pytest.mark.parametrize("entry", [1.5, 0.9, -1.2])
+    def test_rejects_entries_it_would_truncate(self, entry):
+        with pytest.raises(ValueError, match="entries must be in"):
+            SignVector((entry, -1))
 
     def test_strictness(self):
         assert SignVector((1, -1)).is_strict
@@ -210,3 +212,16 @@ def test_secant_relaxation_rejects_wrong_sign_length():
     p = AvlpProblem([[1.0]], [[1.0]], [1.0], [1.0])
     with pytest.raises(DimensionError):
         secant_relaxation(p, np.array([1, 1]), (np.full(1, -1.0), np.full(1, 1.0)))
+    with pytest.raises(DimensionError):
+        orthant_restriction(p, SignVector((1, 1)))
+
+
+def test_public_names_stay():
+    assert sorted(avlp.__all__) == [
+        "AvlpProblem", "DimensionError", "LinearProgram", "LpOutcome", "LpStatus",
+        "RawProblem", "SignVector", "SimplexError", "SolveReport", "SolveStatus",
+        "find_feasible_point", "membership", "normalize", "orthant_restriction",
+        "relaxation_bound", "sgn", "solve_exact", "solve_lp", "vertex_candidacy",
+    ]
+    for name in avlp.__all__:
+        assert hasattr(avlp, name), name

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from avlp import exact
-from avlp.core import AvlpProblem, membership, nonzero_columns, orthant_restriction
+from avlp.core import AvlpProblem, SignVector, membership, nonzero_columns, orthant_restriction
 from avlp.exact import (
     SolveStatus,
     find_feasible_point,
@@ -130,8 +131,29 @@ def test_sweep_stops_at_the_first_unbounded_orthant(monkeypatch):
 
 
 def test_sign_vectors_enumeration_order_and_zeros():
-    got = [s.entries for s in sign_vectors(3, [0, 2])]
-    assert got == [(-1, 0, -1), (-1, 0, 1), (1, 0, -1), (1, 0, 1)]
+    got = list(sign_vectors(3, [0, 2]))
+    assert [tuple(s.tolist()) for s in got] == [(-1, 0, -1), (-1, 0, 1), (1, 0, -1), (1, 0, 1)]
+    assert all(s.dtype.kind == "i" for s in got)
+    # a fresh array per yield, so a caller may keep one
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got, 2))
+
+
+def test_sweep_builds_one_sign_vector(monkeypatch):
+    # the box |x_j| <= 2 with a nonzero column of D on every coordinate:
+    # x_j - |x_j| / 2 <= 1 and -x_j - |x_j| / 2 <= 1; 64 orthants
+    eye = np.eye(6)
+    p = AvlpProblem(np.vstack([eye, -eye]), 0.5 * np.vstack([eye, eye]), np.ones(12), np.ones(6))
+    built = []
+    post_init = SignVector.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SignVector, "__post_init__", counting_post_init)
+    rep = exact._sweep(p)
+    assert rep.status == SolveStatus.OPTIMAL and rep.orthants_solved == 64
+    assert built == [rep.witness_sign] and rep.witness_sign.entries == (1,) * 6
 
 
 def test_find_feasible_point():
@@ -372,7 +394,7 @@ class TestEmptyRowScreen:
             posed.clear()
             searched = list(exact._orthant_search(p))
             signs = list(sign_vectors(p.n, nonzero_columns(p.D)))
-            assert [s for s, _ in searched] == signs
+            assert [tuple(s.tolist()) for s, _ in searched] == [tuple(s.tolist()) for s in signs]
             for s, out in searched:
                 assert_same_outcome(out, solve_lp(orthant_restriction(p, s)))
             assert len(posed) <= share * len(signs)

@@ -215,7 +215,7 @@ class TestUnion:
         assert not union_membership(enc, x)
         assert posed == []  # each orthant's selected piece has a violated empty row
         spelled = spelled_slice_lps(enc, x)
-        assert [s.entries for s, _ in searched] == [sig for sig, _ in spelled]
+        assert [tuple(s.tolist()) for s, _ in searched] == [sig for sig, _ in spelled]
         assert len(searched) == 4
         for (_, out), (_, lp) in zip(searched, spelled):
             assert_same_outcome(out, solve_lp(lp))
@@ -226,7 +226,7 @@ class TestUnion:
         searched.clear()
         assert union_membership(enc, [4.5])
         sig, lp = spelled_slice_lps(enc, np.array([4.5]))[0]
-        assert [s.entries for s, _ in searched] == [sig]
+        assert [tuple(s.tolist()) for s, _ in searched] == [sig]
         assert len(posed) == 1
         assert np.array_equal(posed[0].G, lp.G) and np.array_equal(posed[0].h, lp.h)
         assert not posed[0].obj.any()
@@ -250,7 +250,7 @@ class TestUnion:
         assert not query(enc, x)
         assert posed == []
         spelled = spelled_slice_lps(enc, x)
-        assert [s.entries for s, _ in searched] == [sig for sig, _ in spelled]
+        assert [tuple(s.tolist()) for s, _ in searched] == [sig for sig, _ in spelled]
         assert len(searched) == 16
         for (_, out), (_, lp) in zip(searched, spelled):
             assert_same_outcome(out, solve_lp(lp))
@@ -322,14 +322,7 @@ class TestOrthantConvex:
         assert rep.rows_emitted == 4
         for pt, expect in [((0.5, 0.4), True), ((0.8, 0.8), False), ((-1.0, 0.0), True)]:
             assert membership(enc.problem, np.array(pt))[0] == expect
-
-    def test_cap_factor_below_one_is_rejected(self):
-        # below 1 the cap lies under the first scale, so no scale would be tried
-        diamond = [(SignVector((s1, s2)), [(np.array([s1, s2], dtype=float), 1.0)])
-                   for s1 in (1, -1) for s2 in (1, -1)]
-        assert orthant_convex_to_avlp(diamond, alpha=2.0)[1].alpha == 2.0
-        with pytest.raises(ReformulationError, match="cap_factor must be at least 1"):
-            orthant_convex_to_avlp(diamond, cap_factor=0.5)
+        assert orthant_convex_to_avlp(pieces, alpha=2.0)[1].alpha == 2.0
 
     def test_unbounded_boundary_direction_fails_verification(self):
         # {x1 <= -1, x2 >= 1} u {-x1 + x2 <= 0, x2 >= 1}: the boundary
@@ -347,7 +340,7 @@ class TestOrthantConvex:
             empty_orthant((-1, -1)),
         ]
         with pytest.raises(OrthantConvexVerificationError) as exc:
-            orthant_convex_to_avlp(pieces, cap_factor=64.0)
+            orthant_convex_to_avlp(pieces)
         assert exc.value.offending
 
     def test_globally_valid_inequality_with_box(self):
@@ -406,3 +399,13 @@ class TestOrthantConvex:
         piece = (SignVector((1,)), [(np.array([1.0]), 1.0)])
         with pytest.raises(ReformulationError):
             orthant_convex_to_avlp([piece, piece])
+
+    @pytest.mark.parametrize(
+        "signs, message",
+        [([(1, 0)], "must be strict"), ([SignVector((1, -1)), (1, -1)], r"duplicate orthant \(1, -1\)")],
+        ids=["zero sign", "duplicate as entries"],
+    )
+    def test_zero_sign_and_duplicate_orthant_are_rejected(self, signs, message):
+        pieces = [(s, [(np.array([1.0, 0.0]), 1.0)]) for s in signs]
+        with pytest.raises(ReformulationError, match=message):
+            orthant_convex_to_avlp(pieces)
