@@ -232,7 +232,7 @@ def _sign_tree(p: AvlpProblem) -> SolveReport | None:
             incumbent, best, best_at_leaf = out.value, x, not free.any()
         else:
             slope, intercept = secant(l[free], u[free])
-            gap = np.full(p.n, -1.0)
+            gap = np.full(p.n, -np.inf)
             gap[free] = weight[free] * (slope * x[free] + intercept - np.abs(x[free]))
             heapq.heappush(heap, (-out.value, next(order), signs, int(np.argmax(gap))))
 

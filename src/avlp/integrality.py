@@ -5,6 +5,12 @@ of the feasible set is integral for all integral right-hand sides.
 All arithmetic here runs over Python integers (fraction-free Bareiss
 elimination); the whole point is distinguishing determinant values +-1
 from +-2, which floating point cannot be trusted with.
+
+The sign checks test (A - D diag(s))^T for many s.  Row j of that matrix
+is A[:, j] - s_j D[:, j], so its minor on the column subset S depends on s
+only through s_j for j in J_S, the columns j with D[i, j] != 0 for some i
+in S.  Each check therefore eliminates every distinct (S, s restricted to
+J_S) minor once, however many signs share it.
 """
 
 from __future__ import annotations
@@ -126,18 +132,24 @@ class UnimodularityResult:
     bad_det: int | None = None
 
 
+def _column_subsets(n: int, m: int):
+    """The n-subsets of range(m) in combinations order, once n x m is known
+    to have at most as many rows as columns and few enough subsets."""
+    if n > m:
+        raise ValueError(f"need at least as many columns ({m}) as rows ({n})")
+    count = math.comb(m, n)
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{count} column subsets exceed budget {DEFAULT_BUDGET}")
+    return itertools.combinations(range(m), n)
+
+
 def is_unimodular(M) -> UnimodularityResult:
     """Whether every nonsingular n x n column submatrix of the n x m
     matrix M has determinant +1 or -1."""
     rows = _to_int_matrix(M)
     n = len(rows)
     m = len(rows[0]) if rows else 0
-    if n > m:
-        raise ValueError(f"need at least as many columns ({m}) as rows ({n})")
-    count = math.comb(m, n)
-    if count > DEFAULT_BUDGET:
-        raise BudgetExceededError(f"{count} column subsets exceed budget {DEFAULT_BUDGET}")
-    for subset in itertools.combinations(range(m), n):
+    for subset in _column_subsets(n, m):
         d = _det([[row[j] for j in subset] for row in rows])
         if d not in (-1, 0, 1):
             return UnimodularityResult(False, subset, d)
@@ -163,17 +175,28 @@ def _as_int_arrays(A, D):
 
 
 def _check_signs(A, D, signs, method) -> IntegralityReport:
-    n = A.shape[1]
+    """is_unimodular((A - D diag(s))^T) for each s in order, up to the first
+    that fails, with every distinct minor eliminated once (see the module
+    docstring).  The signs of a check are distinct, so a minor whose J_S is
+    every column recurs for no other sign and is not kept."""
+    m, n = A.shape
+    if n == 0:
+        raise ValueError("expected a matrix")  # (A - D diag(s))^T has no rows
+    At, Dt = A.T.tolist(), D.T.tolist()
+    plan = [(S, [j for j in range(n) if any(Dt[j][i] for i in S)], {})
+            for S in _column_subsets(n, m)]
     checked = 0
     for s in signs:
-        sv = np.asarray(s, dtype=object)
-        M = (A - D * sv).T  # n x m
         checked += 1
-        res = is_unimodular(M.tolist())
-        if not res.unimodular:
-            return IntegralityReport(
-                False, tuple(int(v) for v in s), res.bad_subset, res.bad_det, checked, method
-            )
+        for S, J, seen in plan:
+            key = tuple([s[j] for j in J])
+            d = seen.get(key)
+            if d is None:
+                d = _det([[a[i] - sj * e[i] for i in S] for a, e, sj in zip(At, Dt, s)])
+                if len(J) < n:
+                    seen[key] = d
+            if d not in (-1, 0, 1):
+                return IntegralityReport(False, tuple(int(v) for v in s), S, d, checked, method)
     return IntegralityReport(True, None, None, None, checked, method)
 
 
@@ -191,15 +214,27 @@ def integrality_full(A, D) -> IntegralityReport:
     return _check_signs(A, D, signs, "full")
 
 
+def _at_most_two_nonzeros(n: int) -> list[tuple[int, ...]]:
+    """The 2n^2 + 1 vectors of {-1, 0, 1}^n with at most two nonzero
+    entries, in the lexicographic order of itertools.product."""
+    out = []
+    for k in range(3):
+        for support in itertools.combinations(range(n), k):
+            for values in itertools.product((-1, 1), repeat=k):
+                s = [0] * n
+                for j, v in zip(support, values):
+                    s[j] = v
+                out.append(tuple(s))
+    return sorted(out)
+
+
 def integrality_rank_one(A, D) -> IntegralityReport:
     """For rank-one D the full check reduces to sign vectors with at most
     two nonzero entries (over {+-1, 0}^n)."""
     A, D = _as_int_arrays(A, D)
     if rank_exact(D.tolist()) != 1:
         raise ValueError("D must have rank exactly 1")
-    n = A.shape[1]
-    signs = [s for s in itertools.product((-1, 0, 1), repeat=n) if sum(v != 0 for v in s) <= 2]
-    return _check_signs(A, D, signs, "rank_one")
+    return _check_signs(A, D, _at_most_two_nonzeros(A.shape[1]), "rank_one")
 
 
 def extended_signs_check(A, D) -> bool:

@@ -281,6 +281,28 @@ class TestSignTree:
         with pytest.raises(SimplexError, match=r"node \(0, 0\): simplex iteration"):
             solve_exact(p)
 
+    def test_faulty_kernel_ends_in_simplex_error(self, monkeypatch):
+        # an optimum shifted outside [l, u] puts the secant under |x_j|, so
+        # a free coordinate's gap falls below any finite sentinel; the tree
+        # must still branch on free coordinates only, reach its leaves and
+        # reject the leaf point at the membership check
+        p = manhattan_ball()
+        p = boxed(p.A, p.D, p.b, p.c, 1.0)
+        calls = []
+
+        def shifted_solve_lp(lp):
+            calls.append(lp)
+            if len(calls) > 2 ** (p.n + 1):
+                pytest.fail("more LPs than the tree over n signs has nodes")
+            out = solve_lp(lp)
+            if out.is_optimal:
+                return LpOutcome(LpStatus.OPTIMAL, x=out.x + 100.0, value=out.value)
+            return out
+
+        monkeypatch.setattr(exact, "solve_lp", shifted_solve_lp)
+        with pytest.raises(SimplexError, match="optimal point fails membership"):
+            solve_exact(p)
+
     def test_box_rows_leave_no_bound_lp(self):
         p = manhattan_ball()
         status, l, u, solved = exact._coordinate_bounds(boxed(p.A, p.D, p.b, p.c, 3.0))

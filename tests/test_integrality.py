@@ -1,11 +1,15 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from avlp import integrality
+from avlp.exact import sign_vectors
 from avlp.integrality import (
     BudgetExceededError,
+    IntegralityReport,
     det_exact,
     det_linearity_identity,
     extended_signs_check,
@@ -140,6 +144,11 @@ class TestIntegralityFull:
     def test_d_zero_identity_integral(self):
         assert integrality_full(np.eye(2), np.zeros((2, 2))).integral_for_all_b
 
+    def test_no_columns_is_rejected(self):
+        # (A - D diag(s))^T has no rows; the CLI reports this as an error
+        with pytest.raises(ValueError, match="expected a matrix"):
+            integrality_full(np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+
     def test_rank_one_uncertainty_fixture(self):
         rep = integrality_full([[0, 0], [1, 1]], [[1, 1], [0, 0]])
         assert not rep.integral_for_all_b
@@ -219,3 +228,99 @@ def test_determinant_linearity_identity_random():
         i = int(rng.integers(0, n))
         s[i] = 0
         assert det_linearity_identity(A, D, s, i)
+
+
+def reference_report(A, D, signs, method) -> IntegralityReport:
+    """One is_unimodular call on (A - D diag(s))^T per sign, in order."""
+    A, D = np.asarray(A, dtype=int), np.asarray(D, dtype=int)
+    checked = 0
+    for s in signs:
+        checked += 1
+        res = is_unimodular((A - D * np.asarray(s)).T)
+        if not res.unimodular:
+            return IntegralityReport(False, tuple(s), res.bad_subset, res.bad_det, checked, method)
+    return IntegralityReport(True, None, None, None, checked, method)
+
+
+def at_most_two_nonzeros(n):
+    return [s for s in itertools.product((-1, 0, 1), repeat=n) if sum(v != 0 for v in s) <= 2]
+
+
+def equivalence_instances():
+    rng = np.random.default_rng(31)
+    yield [[-1, 0], [0, -1]], [[0, 0], [0, 1]]  # near identity
+    yield [[0, 0], [1, 1]], [[1, 1], [0, 0]]  # rank-one uncertainty
+    for t in range(200):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(n, n + 3))
+        A = rng.integers(-1, 2, size=(m, n))
+        if t % 4 == 0:
+            D = np.abs(np.outer(rng.integers(-1, 2, m), rng.integers(-1, 2, n)))
+        elif t % 4 == 1:
+            D = np.abs(rng.integers(-2, 3, size=(m, n)))  # dense
+        else:
+            D = np.abs(rng.integers(-1, 2, size=(m, n))) * (rng.random((m, n)) < 0.3)
+        yield A, D
+
+
+class TestDistinctMinors:
+    def test_reports_equal_one_unimodularity_check_per_sign(self):
+        kinds = {"rank_one": 0, "extended": 0, "failed": 0}
+        for A, D in equivalence_instances():
+            n = np.shape(A)[1]
+            full = integrality_full(A, D)
+            signs = (s.tolist() for s in sign_vectors(n, list(range(n))))
+            assert full == reference_report(A, D, signs, "full")
+            kinds["failed"] += not full.integral_for_all_b
+            if rank_exact(D) == 1:
+                want = reference_report(A, D, at_most_two_nonzeros(n), "rank_one")
+                assert integrality_rank_one(A, D) == want
+                kinds["rank_one"] += 1
+            if full.integral_for_all_b:
+                signs = itertools.product((-1, 0, 1), repeat=n)
+                want = reference_report(A, D, signs, "extended").integral_for_all_b
+                assert extended_signs_check(A, D) == want
+                kinds["extended"] += 1
+        assert kinds["rank_one"] >= 30 and kinds["extended"] >= 30 and kinds["failed"] >= 30
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_rank_one_signs_are_the_filtered_product(self, n):
+        assert integrality._at_most_two_nonzeros(n) == at_most_two_nonzeros(n)
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls = []
+        det = integrality._det
+
+        def counting_det(rows):
+            calls.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(integrality, "_det", counting_det)
+        return calls
+
+    def test_zero_d_eliminates_each_subset_once(self, monkeypatch):
+        calls = self.count_eliminations(monkeypatch)
+        A = np.vstack([np.eye(3, dtype=int), np.ones((2, 3), dtype=int) - np.eye(2, 3, dtype=int)])
+        rep = integrality_full(A, np.zeros((5, 3), dtype=int))
+        assert rep.integral_for_all_b and rep.checked_signs == 8
+        assert len(calls) == math.comb(5, 3)
+
+    def test_eliminations_equal_distinct_minors(self, monkeypatch):
+        # interval rows over the rows -s_j e_j: totally unimodular for every
+        # s, so all 8 signs are checked.  D has one nonzero per column, and
+        # the minor on S depends on the signs of the columns whose nonzero
+        # row lies in S
+        calls = self.count_eliminations(monkeypatch)
+        m, n = 6, 3
+        A = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 0], [0, 1, 1], [-1, -1, -1], [0, 0, 0]])
+        D = np.zeros((m, n), dtype=int)
+        D[[2, 5, 0], [0, 1, 2]] = 1
+        rep = integrality_full(A, D)
+        assert rep.integral_for_all_b and rep.checked_signs == 8
+        keys = set()
+        for s in sign_vectors(n, list(range(n))):
+            for S in itertools.combinations(range(m), n):
+                J = [j for j in range(n) if D[list(S), j].any()]
+                keys.add((S, tuple(s[J].tolist())))
+        assert len(calls) == len(keys) < 8 * math.comb(m, n)
